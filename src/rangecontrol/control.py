@@ -34,8 +34,6 @@ import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .elections import (
@@ -46,11 +44,12 @@ from .elections import (
     Election,
     InvalidElection,
     drop_voters,
-    normalize_ballot,
+    integer_rows,
     project,
     scale_election,
     take_voters,
     tally,
+    weighted_sums,
 )
 
 __all__ = [
@@ -214,61 +213,57 @@ def subelection_survivors(election: Election, system: str, tie_model: str) -> fr
     return winners if len(winners) == 1 else frozenset()
 
 
-def _goal_met(goal: str, distinguished: str, unique_winner: str | None) -> bool:
-    if goal == CONSTRUCTIVE:
-        return unique_winner == distinguished
-    return unique_winner != distinguished
+def _goal_met(goal: str, wanted, winners) -> bool:
+    """Whether ``winners`` meets the goal; ``wanted`` is the distinguished
+    candidate alone, in the same form (name set or index bitmask)."""
+    return (winners == wanted) == (goal == CONSTRUCTIVE)
 
 
 # ---------------------------------------------------------------------------
-# cached subelection tallies (candidate subsets of a fixed election)
+# exact integer winners, candidates as index bitmasks (bit i = candidate i)
 
-@lru_cache(maxsize=None)
-def _subset_tally(election: Election, subset: frozenset[str], system: str):
-    return tally(project(election, subset), system)
-
-
-def _subset_unique_winner(election: Election, subset: frozenset[str], system: str) -> str | None:
-    return _subset_tally(election, subset, system).unique_winner
-
-
-def _subset_survivors(
-    election: Election, subset: frozenset[str], system: str, tie_model: str
-) -> frozenset[str]:
-    winners = _subset_tally(election, subset, system).winners
-    if tie_model == TIES_PROMOTE:
-        return winners
-    return winners if len(winners) == 1 else frozenset()
-
-
-# ---------------------------------------------------------------------------
-# integer-scaled score rows for the fixed-candidate-set families
-
-def _int_rows(groups: Sequence[BallotGroup], k: int, system: str) -> tuple[list[tuple[int, ...]], int]:
-    """Per-group counted score vectors scaled to a common integer grid.
-
-    Returns ``(rows, scale)`` with every entry ``scale *`` the exact
-    counted score; argmax-equivalent to the rational tally.  Discarded
-    NRV ballots become zero rows.
-    """
-    raw: list[tuple[Fraction, ...]] = []
-    for g in groups:
-        if system == RV:
-            raw.append(tuple(Fraction(s) for s in g.scores))
-        else:
-            norm = normalize_ballot(g.scores, k) if g.scores else None
-            raw.append(norm if norm is not None else tuple(Fraction(0) for _ in g.scores))
-    scale = 1
-    for row in raw:
-        for v in row:
-            scale = scale * v.denominator // math.gcd(scale, v.denominator)
-    rows = [tuple(int(v * scale) for v in row) for row in raw]
-    return rows, scale
-
-
-def _winner_indices(totals: Sequence[int]) -> list[int]:
+def _top(totals: Sequence[int]) -> int:
+    """Bitmask of the argmax positions of a nonempty ``totals``."""
     best = max(totals)
-    return [i for i, t in enumerate(totals) if t == best]
+    if totals.count(best) == 1:
+        return 1 << totals.index(best)
+    return sum(1 << i for i, t in enumerate(totals) if t == best)
+
+
+def _survivors(winners: int, tie_model: str) -> int:
+    """All winners proceed (promote) or only a lone winner (eliminate)."""
+    if tie_model == TIES_PROMOTE or not winners & (winners - 1):
+        return winners
+    return 0
+
+
+def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
+    """Winner bitmask of the subelection of ``base`` over the candidates in a bitmask.
+
+    Each candidate set is tallied once, on the base ballots' columns, and
+    memoized for as long as the returned function lives (one solve call).
+    Worker threads racing on one mask at worst store the same value twice.
+    """
+    vectors = [g.scores for g in base.ballots]
+    mults = [g.multiplicity for g in base.ballots]
+    positions = range(len(base.candidates))
+    cache: dict[int, int] = {}
+
+    def winners(mask: int) -> int:
+        found = cache.get(mask)
+        if found is None:
+            keep = [i for i in positions if mask >> i & 1]
+            rows, _ = integer_rows([[v[i] for i in keep] for v in vectors], base.k, system)
+            totals = weighted_sums(rows, mults, [0] * len(keep))
+            best = max(totals, default=None)
+            found = cache[mask] = sum(1 << c for c, t in zip(keep, totals) if t == best)
+        return found
+
+    return winners
+
+
+def _mask_of(candidates: tuple[str, ...], members: Iterable[str]) -> int:
+    return sum(1 << candidates.index(c) for c in members)
 
 
 # ---------------------------------------------------------------------------
@@ -284,19 +279,24 @@ def _count_subsets(domain_size: int, max_size: int) -> int:
 
 
 def _capped_vectors(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, ...]]:
-    """All per-group count tuples with sum <= cap_sum, lexicographic order."""
-    n = len(caps)
+    """All per-group count tuples with sum <= cap_sum, lexicographic order.
 
-    def rec(i: int, remaining: int, prefix: list[int]) -> Iterator[tuple[int, ...]]:
-        if i == n:
-            yield tuple(prefix)
+    An odometer with the first group most significant: each step bumps
+    the last entry that can still grow and zeroes the entries after it.
+    """
+    vec = [0] * len(caps)
+    room = cap_sum
+    while True:
+        yield tuple(vec)
+        i = len(vec) - 1
+        while i >= 0 and (not room or vec[i] == caps[i]):
+            room += vec[i]
+            vec[i] = 0
+            i -= 1
+        if i < 0:
             return
-        for v in range(min(caps[i], remaining) + 1):
-            prefix.append(v)
-            yield from rec(i + 1, remaining - v, prefix)
-            prefix.pop()
-
-    return rec(0, cap_sum, [])
+        vec[i] += 1
+        room -= 1
 
 
 def _count_capped_vectors(caps: Sequence[int], cap_sum: int) -> int:
@@ -366,12 +366,13 @@ def solve_add_candidates(
     """Decide control by adding at most ``limit`` spoiler candidates."""
     _require(instance, ADD_CANDIDATES)
     base = instance.base
-    registered = frozenset(instance.registered)
+    registered = _mask_of(base.candidates, instance.registered)
+    wanted = 1 << base.index(instance.distinguished)
+    winners = _subset_winners(base, instance.system)
     limit = min(instance.limit, len(instance.spoilers))
 
     def evaluate(added: tuple[str, ...]) -> bool:
-        winner = _subset_unique_winner(base, registered | frozenset(added), instance.system)
-        return _goal_met(instance.goal, instance.distinguished, winner)
+        return _goal_met(instance.goal, wanted, winners(registered | _mask_of(base.candidates, added)))
 
     return _scan(_subsets_by_size(instance.spoilers, limit), evaluate, budget, workers)
 
@@ -390,13 +391,22 @@ def solve_delete_candidates(
     base = instance.base
     deletable = tuple(c for c in base.candidates if c != instance.distinguished)
     limit = min(instance.limit, len(deletable))
-    everyone = frozenset(base.candidates)
+    everyone = (1 << len(base.candidates)) - 1
+    wanted = 1 << base.index(instance.distinguished)
+    winners = _subset_winners(base, instance.system)
 
     def evaluate(deleted: tuple[str, ...]) -> bool:
-        winner = _subset_unique_winner(base, everyone - frozenset(deleted), instance.system)
-        return _goal_met(instance.goal, instance.distinguished, winner)
+        return _goal_met(instance.goal, wanted, winners(everyone ^ _mask_of(base.candidates, deleted)))
 
     return _scan(_subsets_by_size(deletable, limit), evaluate, budget, workers)
+
+
+def _voter_rows(
+    instance: ControlInstance, groups: Sequence[BallotGroup]
+) -> tuple[list[Sequence[int]], list[int]]:
+    """The groups' counted rows on one integer scale, and their multiplicities."""
+    rows, _ = integer_rows([g.scores for g in groups], instance.base.k, instance.system)
+    return rows, [g.multiplicity for g in groups]
 
 
 def solve_add_voters(
@@ -409,29 +419,16 @@ def solve_add_voters(
     """
     _require(instance, ADD_VOTERS)
     base = instance.base
-    rows, _ = _int_rows(tuple(base.ballots) + tuple(instance.pool), base.k, instance.system)
-    base_rows = rows[: len(base.ballots)]
-    pool_rows = rows[len(base.ballots):]
-    width = len(base.candidates)
-    base_totals = [0] * width
-    for g, row in zip(base.ballots, base_rows):
-        for i in range(width):
-            base_totals[i] += g.multiplicity * row[i]
-    target = base.index(instance.distinguished)
-    caps = [g.multiplicity for g in instance.pool]
+    rows, mults = _voter_rows(instance, base.ballots + instance.pool)
+    voters = len(base.ballots)
+    base_totals = weighted_sums(rows[:voters], mults[:voters], [0] * len(base.candidates))
+    pool_rows = rows[voters:]
+    wanted = 1 << base.index(instance.distinguished)
 
     def evaluate(take: tuple[int, ...]) -> bool:
-        totals = base_totals[:]
-        for j, row in zip(take, pool_rows):
-            if j:
-                for i in range(width):
-                    totals[i] += j * row[i]
-        winners = _winner_indices(totals)
-        unique = winners[0] if len(winners) == 1 else None
-        met_target = unique == target
-        return met_target if instance.goal == CONSTRUCTIVE else not met_target
+        return _goal_met(instance.goal, wanted, _top(weighted_sums(pool_rows, take, base_totals)))
 
-    return _scan(_capped_vectors(caps, instance.limit), evaluate, budget, workers)
+    return _scan(_capped_vectors(mults[voters:], instance.limit), evaluate, budget, workers)
 
 
 def solve_delete_voters(
@@ -440,25 +437,13 @@ def solve_delete_voters(
     """Decide control by removing at most ``limit`` voters."""
     _require(instance, DELETE_VOTERS)
     base = instance.base
-    rows, _ = _int_rows(base.ballots, base.k, instance.system)
-    width = len(base.candidates)
-    full = [0] * width
-    for g, row in zip(base.ballots, rows):
-        for i in range(width):
-            full[i] += g.multiplicity * row[i]
-    target = base.index(instance.distinguished)
-    caps = [g.multiplicity for g in base.ballots]
+    rows, caps = _voter_rows(instance, base.ballots)
+    full = weighted_sums(rows, caps, [0] * len(base.candidates))
+    removed = [tuple(-s for s in row) for row in rows]
+    wanted = 1 << base.index(instance.distinguished)
 
     def evaluate(remove: tuple[int, ...]) -> bool:
-        totals = full[:]
-        for j, row in zip(remove, rows):
-            if j:
-                for i in range(width):
-                    totals[i] -= j * row[i]
-        winners = _winner_indices(totals)
-        unique = winners[0] if len(winners) == 1 else None
-        met_target = unique == target
-        return met_target if instance.goal == CONSTRUCTIVE else not met_target
+        return _goal_met(instance.goal, wanted, _top(weighted_sums(removed, remove, full)))
 
     return _scan(_capped_vectors(caps, instance.limit), evaluate, budget, workers)
 
@@ -477,18 +462,16 @@ def solve_partition_candidates(
     """
     _require(instance, PARTITION_CANDIDATES)
     base = instance.base
-    cands = base.candidates
-    n = len(cands)
+    everyone = (1 << len(base.candidates)) - 1
+    wanted = 1 << base.index(instance.distinguished)
+    winners = _subset_winners(base, instance.system)
 
     def evaluate(mask: int) -> bool:
-        first = frozenset(c for i, c in enumerate(cands) if mask >> i & 1)
-        rest = frozenset(c for i, c in enumerate(cands) if not mask >> i & 1)
-        survivors = _subset_survivors(base, first, instance.system, instance.tie_model)
-        winner = _subset_unique_winner(base, survivors | rest, instance.system)
-        return _goal_met(instance.goal, instance.distinguished, winner)
+        survivors = _survivors(winners(mask), instance.tie_model)
+        return _goal_met(instance.goal, wanted, winners(survivors | everyone ^ mask))
 
-    outcome = _scan(_masks(n), evaluate, budget, workers)
-    return _mask_witness(outcome, cands)
+    outcome = _scan(_masks(len(base.candidates)), evaluate, budget, workers)
+    return _mask_witness(outcome, base.candidates)
 
 
 def solve_runoff_partition_candidates(
@@ -497,19 +480,17 @@ def solve_runoff_partition_candidates(
     """Decide control by runoff partition of candidates (subelections on both sides)."""
     _require(instance, RUNOFF_PARTITION_CANDIDATES)
     base = instance.base
-    cands = base.candidates
-    n = len(cands)
+    everyone = (1 << len(base.candidates)) - 1
+    wanted = 1 << base.index(instance.distinguished)
+    winners = _subset_winners(base, instance.system)
 
     def evaluate(mask: int) -> bool:
-        first = frozenset(c for i, c in enumerate(cands) if mask >> i & 1)
-        rest = frozenset(c for i, c in enumerate(cands) if not mask >> i & 1)
-        d1 = _subset_survivors(base, first, instance.system, instance.tie_model)
-        d2 = _subset_survivors(base, rest, instance.system, instance.tie_model)
-        winner = _subset_unique_winner(base, d1 | d2, instance.system)
-        return _goal_met(instance.goal, instance.distinguished, winner)
+        d1 = _survivors(winners(mask), instance.tie_model)
+        d2 = _survivors(winners(everyone ^ mask), instance.tie_model)
+        return _goal_met(instance.goal, wanted, winners(d1 | d2))
 
-    outcome = _scan(_masks(n), evaluate, budget, workers)
-    return _mask_witness(outcome, cands)
+    outcome = _scan(_masks(len(base.candidates)), evaluate, budget, workers)
+    return _mask_witness(outcome, base.candidates)
 
 
 def _mask_witness(outcome: ControlOutcome, cands: tuple[str, ...]) -> ControlOutcome:
@@ -533,31 +514,18 @@ def solve_partition_voters(
     """
     _require(instance, PARTITION_VOTERS)
     base = instance.base
-    cands = base.candidates
-    width = len(cands)
-    rows, _ = _int_rows(base.ballots, base.k, instance.system)
-    mults = [g.multiplicity for g in base.ballots]
-    full = [0] * width
-    for mult, row in zip(mults, rows):
-        for i in range(width):
-            full[i] += mult * row[i]
-
-    def survivors_of(totals: Sequence[int]) -> frozenset[str]:
-        winners = _winner_indices(totals)
-        if instance.tie_model == TIES_ELIMINATE and len(winners) != 1:
-            return frozenset()
-        return frozenset(cands[i] for i in winners)
+    rows, mults = _voter_rows(instance, base.ballots)
+    zeros = [0] * len(base.candidates)
+    full = weighted_sums(rows, mults, zeros)
+    wanted = 1 << base.index(instance.distinguished)
+    winners = _subset_winners(base, instance.system)
 
     def evaluate(split: tuple[int, ...]) -> bool:
-        first = [0] * width
-        for j, row in zip(split, rows):
-            if j:
-                for i in range(width):
-                    first[i] += j * row[i]
+        first = weighted_sums(rows, split, zeros)
         second = [f - s for f, s in zip(full, first)]
-        finalists = survivors_of(first) | survivors_of(second)
-        winner = _subset_unique_winner(base, finalists, instance.system)
-        return _goal_met(instance.goal, instance.distinguished, winner)
+        d1 = _survivors(_top(first), instance.tie_model)
+        d2 = _survivors(_top(second), instance.tie_model)
+        return _goal_met(instance.goal, wanted, winners(d1 | d2))
 
     actions = itertools.product(*(range(m + 1) for m in mults))
     return _scan(actions, evaluate, budget, workers)
@@ -607,20 +575,20 @@ def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
     family = instance.family
     if family == ADD_CANDIDATES:
         subset = set(instance.registered) | set(witness)
-        winner = tally(project(base, subset), system).unique_winner
+        winners = tally(project(base, subset), system).winners
     elif family == DELETE_CANDIDATES:
         if instance.distinguished in witness:
             raise InvalidInstance("the distinguished candidate is never deletable")
         subset = set(base.candidates) - set(witness)
-        winner = tally(project(base, subset), system).unique_winner
+        winners = tally(project(base, subset), system).winners
     elif family == ADD_VOTERS:
         groups = list(base.ballots)
         for take, g in zip(witness, instance.pool):
             if take:
                 groups.append(BallotGroup(g.scores, take))
-        winner = tally(Election(base.k, base.candidates, tuple(groups)), system).unique_winner
+        winners = tally(Election(base.k, base.candidates, tuple(groups)), system).winners
     elif family == DELETE_VOTERS:
-        winner = tally(drop_voters(base, list(witness)), system).unique_winner
+        winners = tally(drop_voters(base, list(witness)), system).winners
     elif family in (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES):
         first = set(witness)
         rest = set(base.candidates) - first
@@ -630,14 +598,14 @@ def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
         else:
             d2 = subelection_survivors(project(base, rest), system, instance.tie_model)
             finalists = d1 | d2
-        winner = tally(project(base, finalists), system).unique_winner
+        winners = tally(project(base, finalists), system).winners
     else:  # partition-voters
         side1 = take_voters(base, list(witness))
         side2 = drop_voters(base, list(witness))
         d1 = subelection_survivors(side1, system, instance.tie_model)
         d2 = subelection_survivors(side2, system, instance.tie_model)
-        winner = tally(project(base, d1 | d2), system).unique_winner
-    return _goal_met(instance.goal, instance.distinguished, winner)
+        winners = tally(project(base, d1 | d2), system).winners
+    return _goal_met(instance.goal, frozenset((instance.distinguished,)), winners)
 
 
 def scale_instance(instance: ControlInstance, a: int) -> ControlInstance:

@@ -1,4 +1,4 @@
-"""Range-voting elections with exact rational tallies.
+"""Range-voting elections with exact tallies.
 
 A ballot assigns every candidate an integer score in ``[0, k]``.  Two
 aggregation systems are supported:
@@ -9,9 +9,14 @@ aggregation systems are supported:
   becomes ``k``.  Ballots scoring every candidate equally express no
   preference and are discarded.
 
-All scores and totals are exact rationals (``fractions.Fraction``);
-floating point is never used, because downstream search problems decide
-winners on margins as small as 2 points among totals in the thousands.
+Tallies are exact and never use floating point, because downstream
+search problems decide winners on margins as small as 2 points among
+totals in the thousands.  :func:`integer_rows` puts every counted
+ballot on one integer scale ``L`` (1 under ``rv``; under ``nrv`` the lcm
+of the ballots' score spans), so totals are integer sums and winners
+follow from integer comparison.  :func:`tally` returns each total as the
+exact ``Fraction(v, L)``; :func:`normalize_ballot` remains the reference
+definition of a normalized ballot.
 
 Values are immutable after construction and safe to share across threads;
 every operation here is a pure function.
@@ -19,6 +24,7 @@ every operation here is a pure function.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -33,6 +39,8 @@ __all__ = [
     "Election",
     "Tally",
     "normalize_ballot",
+    "integer_rows",
+    "weighted_sums",
     "tally",
     "project",
     "scale_election",
@@ -45,8 +53,9 @@ RV = "rv"
 NRV = "nrv"
 SYSTEMS = (RV, NRV)
 
-# Exact rational score value.  Totals and normalized ballot entries are
-# always Fractions; raw ballot scores are ints.
+# Exact rational score value.  Tally totals and normalized ballot entries
+# are Fractions; raw ballot scores and the rows of ``integer_rows`` (scaled
+# by ``L``) are ints.
 Score = Fraction
 
 
@@ -195,33 +204,54 @@ def normalize_ballot(
     return tuple(Fraction(k) * (Fraction(s) - lo) / span for s in scores)
 
 
-def _effective_rows(election: Election, system: str) -> list[tuple[int, tuple[Fraction, ...]]]:
-    """Per-group (multiplicity, counted score vector); discarded groups dropped."""
-    rows: list[tuple[int, tuple[Fraction, ...]]] = []
-    for group in election.ballots:
-        if system == RV:
-            rows.append((group.multiplicity, tuple(Fraction(s) for s in group.scores)))
+def integer_rows(
+    vectors: Sequence[Sequence[int]], k: int, system: str
+) -> tuple[list[Sequence[int]], int]:
+    """Counted score vectors on one integer scale: ``(rows, L)``.
+
+    Each row is ``L`` times the ballot as counted.  Under ``rv``, ``L`` is 1
+    and the rows are the raw scores.  Under ``nrv``, ``L`` is the lcm of
+    the ballots' score spans and score ``s`` becomes
+    ``k*(s - lo)*(L/span)``, ``L`` times its :func:`normalize_ballot`
+    entry; a ballot with a zero span is not counted and becomes a zero row.
+    """
+    _check_system(system)
+    if system == RV:
+        return list(vectors), 1
+    bounds = [(min(v), max(v)) if v else (0, 0) for v in vectors]
+    scale = math.lcm(*(hi - lo for lo, hi in bounds if hi != lo))
+    rows: list[Sequence[int]] = []
+    for v, (lo, hi) in zip(vectors, bounds):
+        if hi == lo:
+            rows.append((0,) * len(v))
         else:
-            if not group.scores:
-                continue
-            norm = normalize_ballot(group.scores, election.k)
-            if norm is not None:
-                rows.append((group.multiplicity, norm))
-    return rows
+            factor = k * (scale // (hi - lo))
+            rows.append(tuple(factor * (s - lo) for s in v))
+    return rows, scale
+
+
+def weighted_sums(
+    rows: Iterable[Sequence[int]], weights: Iterable[int], start: Sequence[int]
+) -> list[int]:
+    """``start`` plus ``weight * row`` for every row, entrywise; zero weights are skipped."""
+    totals = list(start)
+    for weight, row in zip(weights, rows):
+        if weight:
+            totals = [t + weight * s for t, s in zip(totals, row)]
+    return totals
 
 
 def tally(election: Election, system: str) -> Tally:
     """Compute exact totals and the winner set under ``rv`` or ``nrv``."""
-    _check_system(system)
-    totals: dict[str, Fraction] = {c: Fraction(0) for c in election.candidates}
-    for mult, row in _effective_rows(election, system):
-        for c, s in zip(election.candidates, row):
-            totals[c] += s * mult
-    if not election.candidates:
+    groups = election.ballots
+    rows, scale = integer_rows([g.scores for g in groups], election.k, system)
+    sums = weighted_sums(rows, [g.multiplicity for g in groups], [0] * len(election.candidates))
+    if not sums:
         return Tally({}, frozenset(), None)
-    best = max(totals.values())
-    winners = frozenset(c for c, v in totals.items() if v == best)
+    best = max(sums)
+    winners = frozenset(c for c, v in zip(election.candidates, sums) if v == best)
     unique = next(iter(winners)) if len(winners) == 1 else None
+    totals = {c: Fraction(v, scale) for c, v in zip(election.candidates, sums)}
     return Tally(totals, winners, unique)
 
 

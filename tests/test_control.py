@@ -1,5 +1,10 @@
 """Control solvers: examples, enumeration canon, determinism, budgets."""
 
+import gc
+import itertools
+import weakref
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -31,9 +36,17 @@ from rangecontrol.control import (
     solve_partition_voters,
     solve_runoff_partition_candidates,
     subelection_survivors,
+    _capped_vectors,
+    _count_capped_vectors,
+    _subset_winners,
 )
-from rangecontrol.elections import NRV, RV, BallotGroup, Election
-from rangecontrol.harness import gen_random_control_instance
+from rangecontrol.elections import NRV, RV, BallotGroup, Election, project, tally
+from rangecontrol.gadgets import (
+    HittingSetInstance,
+    gadget_hs_candidates,
+    gadget_hs_destructive_candidate_partition,
+)
+from rangecontrol.harness import gen_random_control_instance, gen_random_election
 
 from helpers import brute_control
 
@@ -340,8 +353,6 @@ class TestSolverProperties:
         out = solve(inst)
         if not out.decision:
             return
-        from dataclasses import replace
-
         flipped = replace(
             inst, goal=DESTRUCTIVE if inst.goal == CONSTRUCTIVE else CONSTRUCTIVE
         )
@@ -373,9 +384,7 @@ class TestSolverProperties:
             return
         out = solve(inst)
         if out.decision:
-            from dataclasses import replace
-
-            assert solve(replace(inst, limit=inst.limit + 1)).decision is True
+                assert solve(replace(inst, limit=inst.limit + 1)).decision is True
 
     @given(st.integers(0, 5000), st.sampled_from([2, 3, 5]))
     @settings(max_examples=30, deadline=None)
@@ -387,3 +396,69 @@ class TestSolverProperties:
         inst = gen_random_control_instance(1234)
         outs = {solve(inst) for _ in range(5)}
         assert len(outs) == 1
+
+
+class TestSubsetWinners:
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([RV, NRV]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_bitmask_cache_matches_project_and_tally(self, seed, k, system, data):
+        e = gen_random_election(seed, max_candidates=5, max_groups=6, k=k)
+        winners = _subset_winners(e, system)
+        masks = st.integers(0, (1 << len(e.candidates)) - 1)
+        for mask in data.draw(st.lists(masks, min_size=1, max_size=6)):
+            subset = [c for i, c in enumerate(e.candidates) if mask >> i & 1]
+            got = frozenset(c for i, c in enumerate(e.candidates) if winners(mask) >> i & 1)
+            assert got == tally(project(e, subset), system).winners
+
+    def test_solving_keeps_no_reference_to_the_gadget(self):
+        hs = HittingSetInstance(("b1", "b2", "b3"), (("b1", "b2"), ("b2", "b3")), 1)
+        refs = []
+        for build in (gadget_hs_candidates, gadget_hs_destructive_candidate_partition):
+            gadget = build(hs)
+            refs.append(weakref.ref(gadget.election))
+            refs.extend(weakref.ref(instance.base) for instance in gadget.instances)
+            outcomes = [solve(instance) for instance in gadget.instances]
+            assert all(out.decision is not None for out in outcomes)
+            del gadget
+        gc.collect()
+        assert all(ref() is None for ref in refs)
+
+
+class TestCappedVectors:
+    def test_lexicographic_with_first_group_most_significant(self):
+        caps, cap_sum = (3, 2, 4, 1, 3, 2), 6
+        ranges = (range(c + 1) for c in caps)
+        expected = [v for v in itertools.product(*ranges) if sum(v) <= cap_sum]
+        got = list(_capped_vectors(caps, cap_sum))
+        assert len(got) > 300
+        assert got[:300] == expected[:300]
+        assert got == expected
+        assert len(got) == _count_capped_vectors(caps, cap_sum)
+
+    def test_degenerate_caps(self):
+        assert list(_capped_vectors((), 3)) == [()]
+        assert list(_capped_vectors((2, 2), 0)) == [(0, 0)]
+        assert list(_capped_vectors((0, 1), 5)) == [(0, 0), (0, 1)]
+
+    def test_delete_voters_on_1200_groups(self):
+        # w and x tie on symmetric ballots; one more x-voter group breaks it
+        vectors = [(a, b) for a in range(35) for b in range(35) if a != b or a >= 25]
+        assert len(vectors) == 1200
+        base = Election.from_rows(34, ("w", "x"), [(1, v) for v in vectors])
+        inst = ControlInstance(
+            base=base, family=DELETE_VOTERS, goal=CONSTRUCTIVE, system=RV,
+            distinguished="w", limit=1,
+        )
+        out = solve(inst)
+        # actions: remove nobody, then one voter of the last group, the one before ...
+        last = max(i for i, g in enumerate(base.ballots) if g.scores[1] > g.scores[0])
+        assert out.decision is True
+        assert out.explored == 1 + len(vectors) - last
+        assert out.witness == tuple(int(i == last) for i in range(len(vectors)))
+
+        trailing = replace(inst, base=Election.from_rows(
+            34, ("w", "x"), [(1, v) for v in vectors] + [(100, (0, 34))]
+        ))
+        out = solve(trailing)
+        assert out.decision is False
+        assert out.explored == 1 + len(vectors) == search_space(trailing)

@@ -14,11 +14,13 @@ from rangecontrol.elections import (
     InvalidElection,
     drop_voters,
     from_approval,
+    integer_rows,
     normalize_ballot,
     project,
     scale_election,
     take_voters,
     tally,
+    weighted_sums,
 )
 
 from helpers import brute_tally, brute_winners
@@ -124,6 +126,50 @@ class TestNormalizeBallot:
             shift = k - max(scores)
         shifted = [s + shift for s in scores]
         assert normalize_ballot(scores, k) == normalize_ballot(shifted, k)
+
+
+class TestIntegerKernel:
+    def test_rv_rows_are_raw_scores(self):
+        assert integer_rows([(2, 0, 1), (0, 0, 0)], 2, RV) == ([(2, 0, 1), (0, 0, 0)], 1)
+
+    def test_nrv_scale_is_lcm_of_spans(self):
+        rows, scale = integer_rows([(0, 3), (0, 4), (1, 6), (7, 0), (2, 2)], 7, NRV)
+        assert scale == 420
+        assert rows == [(0, 2940), (0, 2940), (0, 2940), (2940, 0), (0, 0)]
+
+    def test_partial_span_entries(self):
+        # spans 2 and 3: L = 6, and 1 of span 2 at k = 4 is 2 = 12/6
+        rows, scale = integer_rows([(0, 1, 2), (0, 3, 1)], 4, NRV)
+        assert scale == 6
+        assert rows == [(0, 12, 24), (0, 24, 8)]
+
+    def test_no_counted_ballot_means_unit_scale(self):
+        assert integer_rows([(1, 1), ()], 3, NRV) == ([(0, 0), ()], 1)
+
+    def test_unknown_system(self):
+        with pytest.raises(ValueError):
+            integer_rows([(0, 1)], 1, "borda")
+
+    def test_weighted_sums_skip_zero_weights(self):
+        assert weighted_sums([(1, 2), (5, 5)], [3, 0], [1, 1]) == [4, 7]
+
+    @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([RV, NRV]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_fraction_boundary_matches_normalize_ballot(self, seed, k, system, data):
+        from rangecontrol.harness import gen_random_election
+
+        e = gen_random_election(seed, max_candidates=5, max_groups=6, k=k)
+        mask = data.draw(st.integers(1, (1 << len(e.candidates)) - 1))
+        sub = project(e, [c for i, c in enumerate(e.candidates) if mask >> i & 1])
+        rows, scale = integer_rows([g.scores for g in sub.ballots], k, system)
+        sums = weighted_sums(rows, [g.multiplicity for g in sub.ballots], [0] * len(sub.candidates))
+        expected = [Fraction(0)] * len(sub.candidates)
+        for g in sub.ballots:
+            row = g.scores if system == RV else normalize_ballot(g.scores, k)
+            if row is not None:
+                expected = [t + g.multiplicity * s for t, s in zip(expected, row)]
+        assert [Fraction(v, scale) for v in sums] == expected
+        assert list(tally(sub, system).totals.values()) == expected
 
 
 class TestProject:
