@@ -84,7 +84,9 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the file's system (defaults to rv)")
     p_control.add_argument("--witness", action="store_true")
     p_control.add_argument("--budget", type=int, default=None)
-    p_control.add_argument("--workers", type=int, default=1)
+    p_control.add_argument("--workers", type=int, default=1,
+                           help="accepted for compatibility; has no effect, "
+                                "since every solve runs in one thread")
     p_control.add_argument("file")
 
     p_gadget = sub.add_parser("gadget", help="compile an NP instance into a gadget election")
@@ -275,6 +277,8 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
         var = var.strip()
         if var not in ("n", "m", "k", "s"):
             raise ValueError(f"unknown bound variable {var!r}")
+        if bounds[0] > bounds[1]:
+            raise ValueError(f"empty range in bound {token!r}")
         out[var] = bounds
     return out
 

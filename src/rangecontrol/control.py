@@ -18,10 +18,8 @@ Enumeration canon (fixes witnesses and explored counts):
   per-group count tuples visited in lexicographic order with the first
   group most significant.
 
-The first success in this order is the canonical witness.  Solvers may
-evaluate actions in parallel (``workers > 1``) but always report the
-canonical witness and the canonical explored count, so results are
-byte-identical across any parallelism degree.
+The first success in this order is the canonical witness.  Solvers
+evaluate actions one at a time, in a single thread, in this order.
 
 A node budget caps how many actions may be evaluated.  Hitting the
 budget with actions left yields ``decision=None`` ("budget exceeded"),
@@ -32,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -242,7 +239,6 @@ def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
 
     Each candidate set is tallied once, on the base ballots' columns, and
     memoized for as long as the returned function lives (one solve call).
-    Worker threads racing on one mask at worst store the same value twice.
     """
     vectors = [g.scores for g in base.ballots]
     mults = [g.multiplicity for g in base.ballots]
@@ -315,41 +311,15 @@ def _count_capped_vectors(caps: Sequence[int], cap_sum: int) -> int:
 # ---------------------------------------------------------------------------
 # the generic canonical-order scanner
 
-_CHUNK = 64
-
-
-def _scan(
-    actions: Iterable,
-    evaluate: Callable,
-    budget: int | None,
-    workers: int,
-) -> ControlOutcome:
-    it = iter(actions)
+def _scan(actions: Iterable, evaluate: Callable, budget: int | None) -> ControlOutcome:
     explored = 0
-    if workers <= 1:
-        for action in it:
-            if budget is not None and explored >= budget:
-                return ControlOutcome(None, None, explored)
-            explored += 1
-            if evaluate(action):
-                return ControlOutcome(True, action, explored)
-        return ControlOutcome(False, None, explored)
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        while True:
-            room = _CHUNK if budget is None else min(_CHUNK, budget - explored)
-            batch = list(itertools.islice(it, room)) if room > 0 else []
-            if not batch:
-                if budget is not None and next(it, _SENTINEL) is not _SENTINEL:
-                    return ControlOutcome(None, None, explored)
-                return ControlOutcome(False, None, explored)
-            for action, hit in zip(batch, pool.map(evaluate, batch)):
-                explored += 1
-                if hit:
-                    return ControlOutcome(True, action, explored)
-
-
-_SENTINEL = object()
+    for action in actions:
+        if budget is not None and explored >= budget:
+            return ControlOutcome(None, None, explored)
+        explored += 1
+        if evaluate(action):
+            return ControlOutcome(True, action, explored)
+    return ControlOutcome(False, None, explored)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +331,7 @@ def _require(instance: ControlInstance, family: str) -> None:
 
 
 def solve_add_candidates(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by adding at most ``limit`` spoiler candidates."""
     _require(instance, ADD_CANDIDATES)
@@ -374,11 +344,11 @@ def solve_add_candidates(
     def evaluate(added: tuple[str, ...]) -> bool:
         return _goal_met(instance.goal, wanted, winners(registered | _mask_of(base.candidates, added)))
 
-    return _scan(_subsets_by_size(instance.spoilers, limit), evaluate, budget, workers)
+    return _scan(_subsets_by_size(instance.spoilers, limit), evaluate, budget)
 
 
 def solve_delete_candidates(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by deleting at most ``limit`` candidates.
 
@@ -398,7 +368,7 @@ def solve_delete_candidates(
     def evaluate(deleted: tuple[str, ...]) -> bool:
         return _goal_met(instance.goal, wanted, winners(everyone ^ _mask_of(base.candidates, deleted)))
 
-    return _scan(_subsets_by_size(deletable, limit), evaluate, budget, workers)
+    return _scan(_subsets_by_size(deletable, limit), evaluate, budget)
 
 
 def _voter_rows(
@@ -410,7 +380,7 @@ def _voter_rows(
 
 
 def solve_add_voters(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by registering at most ``limit`` voters from the pool.
 
@@ -428,11 +398,11 @@ def solve_add_voters(
     def evaluate(take: tuple[int, ...]) -> bool:
         return _goal_met(instance.goal, wanted, _top(weighted_sums(pool_rows, take, base_totals)))
 
-    return _scan(_capped_vectors(mults[voters:], instance.limit), evaluate, budget, workers)
+    return _scan(_capped_vectors(mults[voters:], instance.limit), evaluate, budget)
 
 
 def solve_delete_voters(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by removing at most ``limit`` voters."""
     _require(instance, DELETE_VOTERS)
@@ -445,15 +415,11 @@ def solve_delete_voters(
     def evaluate(remove: tuple[int, ...]) -> bool:
         return _goal_met(instance.goal, wanted, _top(weighted_sums(removed, remove, full)))
 
-    return _scan(_capped_vectors(caps, instance.limit), evaluate, budget, workers)
-
-
-def _masks(n: int) -> Iterator[int]:
-    return iter(range(1 << n))
+    return _scan(_capped_vectors(caps, instance.limit), evaluate, budget)
 
 
 def solve_partition_candidates(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by partition of candidates (one-sided subelection).
 
@@ -470,12 +436,12 @@ def solve_partition_candidates(
         survivors = _survivors(winners(mask), instance.tie_model)
         return _goal_met(instance.goal, wanted, winners(survivors | everyone ^ mask))
 
-    outcome = _scan(_masks(len(base.candidates)), evaluate, budget, workers)
+    outcome = _scan(range(1 << len(base.candidates)), evaluate, budget)
     return _mask_witness(outcome, base.candidates)
 
 
 def solve_runoff_partition_candidates(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by runoff partition of candidates (subelections on both sides)."""
     _require(instance, RUNOFF_PARTITION_CANDIDATES)
@@ -489,7 +455,7 @@ def solve_runoff_partition_candidates(
         d2 = _survivors(winners(everyone ^ mask), instance.tie_model)
         return _goal_met(instance.goal, wanted, winners(d1 | d2))
 
-    outcome = _scan(_masks(len(base.candidates)), evaluate, budget, workers)
+    outcome = _scan(range(1 << len(base.candidates)), evaluate, budget)
     return _mask_witness(outcome, base.candidates)
 
 
@@ -502,7 +468,7 @@ def _mask_witness(outcome: ControlOutcome, cands: tuple[str, ...]) -> ControlOut
 
 
 def solve_partition_voters(
-    instance: ControlInstance, *, budget: int | None = None, workers: int = 1
+    instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by partition of voters.
 
@@ -528,7 +494,7 @@ def solve_partition_voters(
         return _goal_met(instance.goal, wanted, winners(d1 | d2))
 
     actions = itertools.product(*(range(m + 1) for m in mults))
-    return _scan(actions, evaluate, budget, workers)
+    return _scan(actions, evaluate, budget)
 
 
 _SOLVERS = {
@@ -545,8 +511,14 @@ _SOLVERS = {
 def solve(
     instance: ControlInstance, *, budget: int | None = None, workers: int = 1
 ) -> ControlOutcome:
-    """Dispatch to the family-specific exhaustive solver."""
-    return _SOLVERS[instance.family](instance, budget=budget, workers=workers)
+    """Dispatch to the family-specific exhaustive solver.
+
+    ``workers`` is accepted for compatibility and has no effect: every
+    solve runs in one thread.  A negative ``budget`` is a ValueError.
+    """
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be non-negative, got {budget}")
+    return _SOLVERS[instance.family](instance, budget=budget)
 
 
 def search_space(instance: ControlInstance) -> int:

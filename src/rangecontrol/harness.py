@@ -26,10 +26,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import control as ctl
-from .control import ControlInstance, ControlOutcome, describe, solve
+from .control import ControlInstance, describe, solve
 from .elections import NRV, BallotGroup, Election, project, take_voters, tally
 from .gadgets import (
     GadgetError,
@@ -39,6 +39,7 @@ from .gadgets import (
     X3CInstance,
     delete_constructive_subelection_identities,
     destructive_partition_subelection_identities,
+    # the gadget_* builders are looked up by name in _build
     gadget_deletion_to_candidate_partition,
     gadget_hs_candidates,
     gadget_hs_delete_constructive,
@@ -48,7 +49,7 @@ from .gadgets import (
     tp_explicit_partition,
     x3c_cover_side,
 )
-from .oracles import OracleResult, solve_hitting_set, solve_x3c
+from .oracles import solve_hitting_set, solve_x3c
 
 __all__ = [
     "GADGET_NAMES",
@@ -111,7 +112,8 @@ class AuditSpec:
     ascending order; random mode draws ``trials`` instances from the
     same bounds with a deterministic per-trial seed.  For the
     deletion-to-candidate-partition gadget the source family is random
-    elections shaped by the ``source_*`` fields.
+    elections shaped by the ``source_*`` fields.  ``checks`` picks from
+    the gadget's ``DEFAULT_CHECKS`` entry and defaults to all of it.
     """
 
     gadget: str
@@ -136,6 +138,16 @@ class AuditSpec:
             raise ValueError(f"unknown audit mode {self.mode!r}")
         if not self.checks:
             object.__setattr__(self, "checks", DEFAULT_CHECKS[self.gadget])
+        unsupported = [c for c in self.checks if c not in DEFAULT_CHECKS[self.gadget]]
+        if unsupported:
+            raise ValueError(
+                f"{self.gadget} does not support the check(s) {', '.join(unsupported)}; "
+                f"choose from {', '.join(DEFAULT_CHECKS[self.gadget])}"
+            )
+        if self.budget is not None and self.budget < 0:
+            raise ValueError(f"budget must be non-negative, got {self.budget}")
+        if self.trials < 0:
+            raise ValueError(f"trials must be non-negative, got {self.trials}")
 
 
 @dataclass(frozen=True)
@@ -457,12 +469,55 @@ def _decode_fields(text: str, tag: str) -> dict[str, str]:
 
 
 # ---------------------------------------------------------------------------
-# per-gadget audit logic
+# the audit path: (encoding, source, gadget) -> InstanceRecord
 
-def _solver_answer(outcome: ControlOutcome) -> str:
-    if outcome.decision is None:
+_X3C = "x3c-voter-partition-te"
+_DELETION = "deletion-to-candidate-partition"
+
+
+def _build(gadget_name: str, source) -> GadgetOutput:
+    """The named gadget on ``source``; the builder is looked up at call time."""
+    builder = globals()["gadget_" + gadget_name.replace("-", "_")]
+    return builder(*source) if gadget_name == _DELETION else builder(source)
+
+
+def _build_or_none(gadget_name: str, source) -> GadgetOutput | None:
+    """The gadget, or None when ``source`` violates one of its preconditions."""
+    try:
+        return _build(gadget_name, source)
+    except GadgetError:
+        return None
+
+
+def _decode(gadget_name: str, encoding: str):
+    if gadget_name == _DELETION:
+        return decode_deletion_source(encoding)
+    if gadget_name == _X3C:
+        return decode_x3c(encoding)
+    return decode_hs(encoding)
+
+
+def _answer(decision: bool | None) -> str:
+    if decision is None:
         return "budget-exceeded"
-    return "yes" if outcome.decision else "no"
+    return "yes" if decision else "no"
+
+
+def _reference(gadget_name: str, source, budget: int | None) -> tuple[bool | None, tuple, int]:
+    """The source question's answer as (decision, witness, explored).
+
+    The HS/X3C oracles decide hitting-set and exact-cover sources; the
+    deletion source is decided by the exhaustive solver under ``budget``.
+    """
+    if gadget_name == _DELETION:
+        election, w, limit = source
+        outcome = solve(ControlInstance(
+            base=election, family=ctl.DELETE_CANDIDATES, goal=ctl.CONSTRUCTIVE,
+            system=NRV, distinguished=w, limit=limit,
+        ), budget=budget)
+        return outcome.decision, outcome.witness, outcome.explored
+    oracle = solve_x3c(source) if gadget_name == _X3C else solve_hitting_set(source)
+    return oracle.decision, oracle.witness, 0
 
 
 def _pad_hitting_set(hs: HittingSetInstance, witness: Sequence[str], size: int) -> tuple[str, ...]:
@@ -476,219 +531,100 @@ def _pad_hitting_set(hs: HittingSetInstance, witness: Sequence[str], size: int) 
     return tuple(chosen)
 
 
-def _audit_hs_common(
-    builder: Callable[[HittingSetInstance], GadgetOutput],
-    hs: HittingSetInstance,
-    budget: int | None,
-    checks: Sequence[str],
-    extra_identities: Callable[[HittingSetInstance, OracleResult], tuple[ScoreIdentity, ...]] | None,
-) -> tuple[str, str, list, list, list, str, int]:
-    gadget = builder(hs)
-    oracle = solve_hitting_set(hs)
-    solver: list[tuple[str, str]] = []
-    explored = 0
+def _witness_identities(
+    gadget_name: str, source, gadget: GadgetOutput, witness: tuple
+) -> tuple[ScoreIdentity, ...]:
+    """Stated subelection totals that a yes answer's witness pins down."""
+    if gadget_name == "hs-delete-constructive":
+        return delete_constructive_subelection_identities(
+            source, _pad_hitting_set(source, witness, source.k)
+        )
+    if gadget_name == "hs-destructive-candidate-partition":
+        return destructive_partition_subelection_identities(source, witness)
+    if gadget_name == _X3C:
+        return x3c_cover_side(gadget, source, witness)[1]
+    return ()
+
+
+def _final_round_note(x3c: X3CInstance, gadget: GadgetOutput) -> str:
+    n = len(x3c.sets)
+    k = x3c.k
+    extras = [c for c in gadget.election.candidates if c not in x3c.elements]
+    c_id, w_id = extras  # declaration order: ... c, w
+    final = tally(project(gadget.election, (c_id, w_id)), gadget.system)
+    c_total = final.totals[c_id]
+    stated = Fraction(12 * n + 14 * k - 2)
+    recomputed = Fraction(12 * n + 12 * k)
+    if c_total == stated == recomputed:
+        which = "both"
+    elif c_total == stated:
+        which = "stated"
+    elif c_total == recomputed:
+        which = "recomputed"
+    else:
+        which = "neither"
+    return (
+        f"final-round c total {c_total}; stated 12n+14k-2={stated}; "
+        f"recomputed 12n+12k={recomputed}; matches={which}"
+    )
+
+
+def _record(
+    index: int, encoding: str, source, gadget: GadgetOutput, spec: AuditSpec
+) -> InstanceRecord:
+    """Audit one built gadget against the answer to its source question."""
+    name, checks = spec.gadget, spec.checks
+    decision, witness, explored = _reference(name, source, spec.budget)
+    budget_hit = decision is None
     disagree = False
-    budget_hit = False
-    if "equivalence" in checks:
+    solver: list[tuple[str, str]] = []
+    if "equivalence" in checks and not budget_hit:
         for instance in gadget.instances:
-            outcome = solve(instance, budget=budget)
+            outcome = solve(instance, budget=spec.budget)
             explored += outcome.explored
-            solver.append((describe(instance), _solver_answer(outcome)))
+            solver.append((describe(instance), _answer(outcome.decision)))
             if outcome.decision is None:
                 budget_hit = True
-            elif outcome.decision != oracle.decision:
+            elif outcome.decision != decision:
                 disagree = True
     identities: list[IdentityResult] = []
     if "identities" in checks:
         identities.extend(check_score_identities(gadget))
-        if extra_identities is not None and oracle.decision:
-            for ident in extra_identities(hs, oracle):
+        if decision:
+            for ident in _witness_identities(name, source, gadget, witness):
                 identities.append(evaluate_identity(gadget.election, gadget.system, ident))
     notes: list[str] = []
-    if budget_hit:
-        status = "budget-exceeded"
-    elif disagree:
-        status = "disagree"
-    else:
-        status = "agree"
-    return (
-        "yes" if oracle.decision else "no",
-        " ".join(oracle.witness),
-        solver,
-        identities,
-        notes,
-        status,
-        explored,
-    )
-
-
-def _audit_hs_candidates(hs, budget, checks):
-    return _audit_hs_common(gadget_hs_candidates, hs, budget, checks, None)
-
-
-def _audit_hs_delete(hs, budget, checks):
-    def extras(hs_in, oracle):
-        padded = _pad_hitting_set(hs_in, oracle.witness, hs_in.k)
-        return delete_constructive_subelection_identities(hs_in, padded)
-
-    return _audit_hs_common(gadget_hs_delete_constructive, hs, budget, checks, extras)
-
-
-def _audit_hs_destructive_partition(hs, budget, checks):
-    def extras(hs_in, oracle):
-        return destructive_partition_subelection_identities(hs_in, oracle.witness)
-
-    return _audit_hs_common(
-        gadget_hs_destructive_candidate_partition, hs, budget, checks, extras
-    )
-
-
-def _audit_rhs_tp(hs: HittingSetInstance, budget, checks):
-    gadget = gadget_rhs_voter_partition_tp(hs)
-    oracle = solve_hitting_set(hs)
-    identities: list[IdentityResult] = []
-    disagree = False
-    if "identities" in checks:
-        identities.extend(check_score_identities(gadget))
-    notes: list[str] = []
     if "one-direction" in checks:
-        if oracle.decision:
-            instance = gadget.instances[0]
-            counts = tp_explicit_partition(gadget, hs, oracle.witness)
-            ok = ctl.replay_witness(instance, counts)
+        if decision:
+            counts = tp_explicit_partition(gadget, source, witness)
+            ok = ctl.replay_witness(gadget.instances[0], counts)
             notes.append(
                 "one-direction: explicit partition "
                 + ("denies c unique victory" if ok else "FAILED to deny c unique victory")
             )
-            if not ok:
-                disagree = True
+            disagree = disagree or not ok
         else:
             notes.append("one-direction: vacuous (no hitting set within budget)")
-    status = "disagree" if disagree else "agree"
-    return (
-        "yes" if oracle.decision else "no",
-        " ".join(oracle.witness),
-        [],
-        identities,
-        notes,
-        status,
-        0,
-    )
-
-
-def _audit_x3c(x3c: X3CInstance, budget, checks):
-    gadget = gadget_x3c_voter_partition_te(x3c)
-    oracle = solve_x3c(x3c)
-    solver: list[tuple[str, str]] = []
-    explored = 0
-    disagree = False
-    budget_hit = False
-    if "equivalence" in checks:
-        instance = gadget.instances[0]
-        outcome = solve(instance, budget=budget)
-        explored += outcome.explored
-        solver.append((describe(instance), _solver_answer(outcome)))
-        if outcome.decision is None:
-            budget_hit = True
-        elif outcome.decision != oracle.decision:
-            disagree = True
-    identities: list[IdentityResult] = []
-    notes: list[str] = []
-    if "identities" in checks and oracle.decision:
-        _, cover_idents = x3c_cover_side(gadget, x3c, oracle.witness)
-        for ident in cover_idents:
-            identities.append(evaluate_identity(gadget.election, gadget.system, ident))
     if "final-round" in checks:
-        n = len(x3c.sets)
-        k = x3c.k
-        extras = [c for c in gadget.election.candidates if c not in x3c.elements]
-        c_id, w_id = extras  # declaration order: ... c, w
-        final = tally(project(gadget.election, (c_id, w_id)), gadget.system)
-        c_total = final.totals[c_id]
-        stated = Fraction(12 * n + 14 * k - 2)
-        recomputed = Fraction(12 * n + 12 * k)
-        if c_total == stated == recomputed:
-            which = "both"
-        elif c_total == stated:
-            which = "stated"
-        elif c_total == recomputed:
-            which = "recomputed"
-        else:
-            which = "neither"
-        notes.append(
-            f"final-round c total {c_total}; stated 12n+14k-2={stated}; "
-            f"recomputed 12n+12k={recomputed}; matches={which}"
-        )
+        notes.append(_final_round_note(source, gadget))
+    if name == _DELETION:
+        notes.append(f"source deletion answer: {_answer(decision)}")
+    if not decision:
+        witness_text = ""
+    elif name == _X3C:
+        witness_text = " | ".join(",".join(s) for s in witness)
+    else:
+        witness_text = " ".join(witness)
     if budget_hit:
         status = "budget-exceeded"
     elif disagree:
         status = "disagree"
     else:
         status = "agree"
-    witness = " | ".join(",".join(s) for s in oracle.witness) if oracle.decision else ""
-    return (
-        "yes" if oracle.decision else "no",
-        witness,
-        solver,
-        identities,
-        notes,
-        status,
-        explored,
+    return InstanceRecord(
+        index, encoding, _answer(decision), witness_text, tuple(solver), tuple(identities),
+        tuple(notes), status, explored,
     )
-
-
-def _audit_deletion_source(source: Election, w: str, limit: int, budget, checks):
-    gadget = gadget_deletion_to_candidate_partition(source, w, limit)
-    deletion = ControlInstance(
-        base=source, family=ctl.DELETE_CANDIDATES, goal=ctl.CONSTRUCTIVE,
-        system=NRV, distinguished=w, limit=limit,
-    )
-    source_outcome = solve(deletion, budget=budget)
-    explored = source_outcome.explored
-    disagree = False
-    budget_hit = source_outcome.decision is None
-    solver: list[tuple[str, str]] = []
-    if "equivalence" in checks and not budget_hit:
-        for instance in gadget.instances:
-            outcome = solve(instance, budget=budget)
-            explored += outcome.explored
-            solver.append((describe(instance), _solver_answer(outcome)))
-            if outcome.decision is None:
-                budget_hit = True
-            elif outcome.decision != source_outcome.decision:
-                disagree = True
-    identities: list[IdentityResult] = []
-    if "identities" in checks:
-        identities.extend(check_score_identities(gadget))
-    notes = [f"source deletion answer: {_solver_answer(source_outcome)}"]
-    if budget_hit:
-        status = "budget-exceeded"
-    elif disagree:
-        status = "disagree"
-    else:
-        status = "agree"
-    oracle = _solver_answer(source_outcome)
-    witness = " ".join(source_outcome.witness) if source_outcome.decision else ""
-    return oracle, witness, solver, identities, notes, status, explored
-
-
-def _audit_one(
-    gadget_name: str, encoding: str, budget: int | None, checks: Sequence[str]
-) -> tuple:
-    if gadget_name == "hs-candidates":
-        return _audit_hs_candidates(decode_hs(encoding), budget, checks)
-    if gadget_name == "hs-delete-constructive":
-        return _audit_hs_delete(decode_hs(encoding), budget, checks)
-    if gadget_name == "rhs-voter-partition-tp":
-        return _audit_rhs_tp(decode_hs(encoding), budget, checks)
-    if gadget_name == "x3c-voter-partition-te":
-        return _audit_x3c(decode_x3c(encoding), budget, checks)
-    if gadget_name == "hs-destructive-candidate-partition":
-        return _audit_hs_destructive_partition(decode_hs(encoding), budget, checks)
-    if gadget_name == "deletion-to-candidate-partition":
-        source, w, limit = decode_deletion_source(encoding)
-        return _audit_deletion_source(source, w, limit, budget, checks)
-    raise ValueError(f"unknown gadget {gadget_name!r}")
 
 
 def replay_instance(
@@ -698,63 +634,49 @@ def replay_instance(
     checks: Sequence[str] | None = None,
 ) -> InstanceRecord:
     """Re-run one audited instance from its report encoding."""
-    if checks is None:
-        checks = DEFAULT_CHECKS[gadget_name]
-    oracle, witness, solver, identities, notes, status, explored = _audit_one(
-        gadget_name, encoding, budget, checks
-    )
-    return InstanceRecord(
-        0, encoding, oracle, witness, tuple(solver), tuple(identities),
-        tuple(notes), status, explored,
-    )
+    spec = AuditSpec(gadget=gadget_name, budget=budget, checks=tuple(checks or ()))
+    source = _decode(gadget_name, encoding)
+    return _record(0, encoding, source, _build(gadget_name, source), spec)
 
 
 # ---------------------------------------------------------------------------
 # audit driver
 
-def _spec_encodings(spec: AuditSpec) -> Iterator[str]:
-    gadget = spec.gadget
-    if gadget == "deletion-to-candidate-partition":
+def _sources(spec: AuditSpec) -> Iterator[tuple[str, object, GadgetOutput]]:
+    """(encoding, source, gadget) per record in report order; each gadget is built once."""
+    name = spec.gadget
+    if name == _DELETION:
         if spec.mode != "random":
             raise ValueError("the deletion gadget audit samples random source elections")
         for trial in range(spec.trials):
-            yield _random_deletion_encoding(spec, trial)
-        return
-    if spec.mode == "exhaustive":
-        if gadget == "x3c-voter-partition-te":
-            for x3c in exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free):
-                yield encode_x3c(x3c)
+            source = _random_deletion_source(spec, trial)
+            yield encode_deletion_source(*source), source, _build(name, source)
+    elif name == _X3C:
+        if spec.mode == "exhaustive":
+            sources = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
         else:
-            for hs in exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free):
-                if _meets_preconditions(gadget, hs):
-                    yield encode_hs(hs)
-        return
-    for trial in range(spec.trials):
-        if gadget == "x3c-voter-partition-te":
-            rng = _rng("audit", spec.seed, trial)
-            k = rng.randint(*spec.k)
-            count = rng.randint(max(k, spec.sets[0]), max(k, spec.sets[1]))
-            yield encode_x3c(gen_random_x3c(k, count, rng.randrange(1 << 30)))
-        else:
-            yield _random_hs_encoding(spec, trial)
+            sources = (_random_x3c(spec, trial) for trial in range(spec.trials))
+        for x3c in sources:
+            yield encode_x3c(x3c), x3c, _build(name, x3c)
+    elif spec.mode == "exhaustive":
+        for hs in exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free):
+            gadget = _build_or_none(name, hs)
+            if gadget is not None:
+                yield encode_hs(hs), hs, gadget
+    else:
+        for trial in range(spec.trials):
+            hs, gadget = _random_hs_source(spec, trial)
+            yield encode_hs(hs), hs, gadget
 
 
-def _meets_preconditions(gadget: str, hs: HittingSetInstance) -> bool:
-    try:
-        if gadget == "hs-candidates":
-            gadget_hs_candidates(hs)
-        elif gadget == "hs-delete-constructive":
-            gadget_hs_delete_constructive(hs)
-        elif gadget == "rhs-voter-partition-tp":
-            gadget_rhs_voter_partition_tp(hs)
-        elif gadget == "hs-destructive-candidate-partition":
-            gadget_hs_destructive_candidate_partition(hs)
-        return True
-    except GadgetError:
-        return False
+def _random_x3c(spec: AuditSpec, trial: int) -> X3CInstance:
+    rng = _rng("audit", spec.seed, trial)
+    k = rng.randint(*spec.k)
+    count = rng.randint(max(k, spec.sets[0]), max(k, spec.sets[1]))
+    return gen_random_x3c(k, count, rng.randrange(1 << 30))
 
 
-def _random_hs_encoding(spec: AuditSpec, trial: int) -> str:
+def _random_hs_source(spec: AuditSpec, trial: int) -> tuple[HittingSetInstance, GadgetOutput]:
     for attempt in range(500):
         rng = _rng("audit", spec.seed, trial, attempt)
         n = rng.randint(*spec.n)
@@ -764,12 +686,13 @@ def _random_hs_encoding(spec: AuditSpec, trial: int) -> str:
             hs = gen_random_hs(n, m, k, rng.randrange(1 << 30))
         except ValueError:
             continue
-        if _meets_preconditions(spec.gadget, hs):
-            return encode_hs(hs)
+        gadget = _build_or_none(spec.gadget, hs)
+        if gadget is not None:
+            return hs, gadget
     raise ValueError(f"could not sample a valid instance for {spec.gadget}")
 
 
-def _random_deletion_encoding(spec: AuditSpec, trial: int) -> str:
+def _random_deletion_source(spec: AuditSpec, trial: int) -> tuple[Election, str, int]:
     for attempt in range(500):
         rng = _rng("audit", spec.seed, trial, attempt)
         n_cands = rng.randint(*spec.source_candidates)
@@ -787,23 +710,16 @@ def _random_deletion_encoding(spec: AuditSpec, trial: int) -> str:
             spec.source_limit[0],
             min(spec.source_limit[1], len(source.candidates) - 1),
         )
-        return encode_deletion_source(source, w, limit)
+        return source, w, limit
     raise ValueError("could not sample a deletion source")
 
 
 def audit_gadget(spec: AuditSpec) -> AuditReport:
     """Run the audit described by ``spec`` and assemble a deterministic report."""
-    records: list[InstanceRecord] = []
-    for index, encoding in enumerate(_spec_encodings(spec)):
-        oracle, witness, solver, identities, notes, status, explored = _audit_one(
-            spec.gadget, encoding, spec.budget, spec.checks
-        )
-        records.append(
-            InstanceRecord(
-                index, encoding, oracle, witness, tuple(solver), tuple(identities),
-                tuple(notes), status, explored,
-            )
-        )
+    records = tuple(
+        _record(index, encoding, source, gadget, spec)
+        for index, (encoding, source, gadget) in enumerate(_sources(spec))
+    )
     counterexamples = tuple(r.index for r in records if r.status == "disagree")
     identity_failures = tuple(
         r.index for r in records if any(not i.passed for i in r.identities)
@@ -811,7 +727,7 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
     budget_exceeded = tuple(r.index for r in records if r.status == "budget-exceeded")
     agreement = not counterexamples
     return AuditReport(
-        spec, tuple(records), agreement, counterexamples, identity_failures, budget_exceeded
+        spec, records, agreement, counterexamples, identity_failures, budget_exceeded
     )
 
 

@@ -99,6 +99,15 @@ class TestControl:
         code, _, err = cli("control", shifty_path)
         assert code == 2 and "instance" in err
 
+    def test_negative_budget_is_a_usage_error(self, destructive_add_path):
+        code, out, err = cli("control", "--budget", "-1", destructive_add_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "budget" in err
+
+    def test_zero_budget_stays_valid(self, destructive_add_path):
+        code, out, _ = cli("control", "--budget", "0", destructive_add_path)
+        assert code == 3 and out == "BUDGET-EXCEEDED\nexplored: 0\n"
+
     def test_byte_identical_across_runs_and_workers(self, destructive_add_path):
         outputs = set()
         for _ in range(5):
@@ -205,6 +214,22 @@ class TestVerify:
         code, _, err = cli("verify", "--gadget", "hs-candidates",
                            "--exhaustive", "q<=4")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("args", [
+        ("--exhaustive", "n=3..1"),
+        ("--exhaustive", "n<=0"),
+        ("--random", "-3"),
+        ("--exhaustive", "n<=2", "--budget", "-2"),
+    ], ids=["reversed-range", "empty-upper-bound", "negative-trials", "negative-budget"])
+    def test_bad_numbers_are_usage_errors(self, args):
+        code, out, err = cli("verify", "--gadget", "hs-candidates", *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
+    def test_zero_budget_stays_valid(self):
+        code, out, _ = cli("verify", "--gadget", "x3c-voter-partition-te",
+                           "--exhaustive", "k=1,s<=2", "--budget", "0")
+        assert code == 0 and "budget-exceeded: 0 1" in out
 
 
 class TestTableAndUsage:

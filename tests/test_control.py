@@ -22,6 +22,7 @@ from rangecontrol.control import (
     TIES_ELIMINATE,
     TIES_PROMOTE,
     ControlInstance,
+    ControlOutcome,
     InvalidInstance,
     describe,
     replay_witness,
@@ -317,6 +318,14 @@ class TestOutcomeSemantics:
         assert full.decision is False  # a keeps at least 3 points vs w's 1
         cut = solve(inst, budget=3)
         assert cut.decision is None and cut.budget_exceeded and cut.explored == 3
+
+    def test_negative_budget_rejected_and_zero_budget_kept(self):
+        base = election(1, ("a", "w"), [(1, (1, 0))])
+        inst = ControlInstance(base=base, family=DELETE_VOTERS, goal=CONSTRUCTIVE,
+                               system=RV, distinguished="w", limit=1)
+        with pytest.raises(ValueError, match="non-negative"):
+            solve(inst, budget=-1)
+        assert solve(inst, budget=0) == ControlOutcome(None, None, 0)
 
     def test_budget_equal_to_space_still_decides(self):
         base = election(1, ("a", "w"), [(1, (1, 0))])

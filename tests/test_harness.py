@@ -1,5 +1,6 @@
 """Generators, audits, report determinism, and counterexample replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -158,6 +159,44 @@ class TestAudits:
         assert report.budget_exceeded
         assert report.agreement is True  # no disagreement, only unfinished work
 
+    @pytest.mark.parametrize("gadget, checks", [
+        ("hs-candidates", ("equivalance",)),
+        ("rhs-voter-partition-tp", ("equivalence",)),
+        ("x3c-voter-partition-te", ("identities", "one-direction")),
+    ])
+    def test_unsupported_checks_are_rejected(self, gadget, checks):
+        with pytest.raises(ValueError, match="does not support"):
+            AuditSpec(gadget=gadget, checks=checks)
+
+    def test_supported_subset_of_checks_is_kept(self):
+        spec = AuditSpec(gadget="x3c-voter-partition-te", checks=("final-round",))
+        assert spec.checks == ("final-round",)
+        report = audit_gadget(spec)
+        assert all(not r.solver and not r.identities and r.notes for r in report.records)
+
+    @pytest.mark.parametrize("field", [{"budget": -1}, {"trials": -1}])
+    def test_negative_budget_or_trials_rejected(self, field):
+        with pytest.raises(ValueError, match="non-negative"):
+            AuditSpec(gadget="hs-candidates", mode="random", **field)
+
+    def test_replay_rejects_unsupported_checks(self):
+        with pytest.raises(ValueError, match="does not support"):
+            replay_instance("rhs-voter-partition-tp", "hs k=1 B=b1,b2 S=b1", None, ("equivalence",))
+
+    def test_each_gadget_is_built_once(self, monkeypatch):
+        # the audit looks the builder up at call time, so a rebound name sees
+        # every build; an accepted source is built once, not again to audit it
+        import rangecontrol.harness as harness
+
+        built = []
+        build = harness.gadget_hs_candidates
+        monkeypatch.setattr(harness, "gadget_hs_candidates",
+                            lambda hs: built.append(encode_hs(hs)) or build(hs))
+        report = audit_gadget(AuditSpec(gadget="hs-candidates", n=(1, 3), m=(1, 2)))
+        assert len(built) == len(set(built))
+        assert {r.encoding for r in report.records} <= set(built)
+        assert len(report.records) < len(built)  # rejected sources were tried too
+
     def test_deletion_gadget_requires_random_mode(self):
         with pytest.raises(ValueError):
             audit_gadget(AuditSpec(gadget="deletion-to-candidate-partition"))
@@ -192,3 +231,43 @@ class TestReports:
         text = render_text(report)
         for rec in report.records:
             assert rec.encoding in text
+
+
+# One small spec per gadget, with the sha256 of its text and JSONL reports.
+# Between them they reach random sampling with rejected draws, exhaustive
+# sweeps that skip instances failing a gadget precondition, yes and no
+# oracle answers, extra identities on yes answers, both one-direction
+# notes, the final-round note, and the budget-exceeded branch on the
+# source deletion solve and on the gadget's own solves.
+PINNED_REPORTS = [
+    (AuditSpec(gadget="hs-candidates", mode="random", n=(2, 4), m=(1, 3), k=(1, 1),
+               trials=5, seed=3),
+     "126974131cd4c8e65247e0497987f6442517252deae3a9986716c402e8f650cc",
+     "b658f4c4aecfee08182fa009f2172ba5509a90e5aa91d936bd1e865162e041b6"),
+    (AuditSpec(gadget="hs-delete-constructive", n=(1, 2), m=(1, 2), k=(1, 1)),
+     "f98e408d0905c488db39be6ea846c5e7d0aafb24ca85e9afb9c7cb1a9753a30d",
+     "225a07e951fd30dee7f7f669ca1700f32df5079c9fb9e226631df1b85bc2f0ca"),
+    (AuditSpec(gadget="rhs-voter-partition-tp", mode="random", n=(6, 8), m=(1, 2),
+               k=(1, 1), trials=3, seed=6),
+     "d0181a9e936432180b1e20f3ac7adc25b2bb20aebcb640215d7257d2a4a2cc1e",
+     "2661a1b1ca52636c67edd0f7cbc958003b4c6a8deba3b6b47723e33a0719961d"),
+    (AuditSpec(gadget="x3c-voter-partition-te", k=(1, 1), sets=(1, 2), budget=2),
+     "881f990697138fbf8a144be08ca63c489d26a43024721b35a7d1fa965103bbcc",
+     "b94475ddb00ae083509302500abfe628223a5b02b32761765b0ec62190b8eee3"),
+    (AuditSpec(gadget="deletion-to-candidate-partition", mode="random", trials=6, seed=5,
+               budget=1),
+     "5255eced166b810bf6d4f0544677eefe664be31afe1e97458991bc30ef02ea60",
+     "a6299905c4983362f9cfa44bb266ce24f210da24c4c69f65d2d3c90c6387dd24"),
+    (AuditSpec(gadget="hs-destructive-candidate-partition", n=(2, 3), m=(1, 2), k=(1, 1)),
+     "ad70fec030fd4d0c22f8478d87af3b1e183123167ae123bb89c968816c958e77",
+     "5f5a209fcd65bc1d0026861aed14ff77d4aaacf282b89183198754e36b9a50d3"),
+]
+
+
+@pytest.mark.parametrize(
+    "spec, text_sha, jsonl_sha", PINNED_REPORTS, ids=[s.gadget for s, _, _ in PINNED_REPORTS]
+)
+def test_report_bytes_are_pinned(spec, text_sha, jsonl_sha):
+    report = audit_gadget(spec)
+    assert hashlib.sha256(render_text(report).encode()).hexdigest() == text_sha
+    assert hashlib.sha256(render_jsonl(report).encode()).hexdigest() == jsonl_sha
