@@ -1,6 +1,7 @@
 """Control solvers: examples, enumeration canon, determinism, budgets."""
 
 import gc
+import hashlib
 import itertools
 import weakref
 from dataclasses import replace
@@ -471,3 +472,21 @@ class TestCappedVectors:
         out = solve(trailing)
         assert out.decision is False
         assert out.explored == 1 + len(vectors) == search_space(trailing)
+
+
+class TestPinnedOutputs:
+    def test_solver_outputs_are_pinned(self):
+        # decision, canonical witness and explored count of every family on
+        # 300 seeded instances, unbudgeted and under a small budget
+        digest = hashlib.sha256()
+        for seed in range(300):
+            inst = gen_random_control_instance(seed)
+            out = solve(inst)
+            digest.update(repr((
+                inst.family, out.decision, out.witness, out.explored, search_space(inst)
+            )).encode())
+            budgeted = solve(inst, budget=seed % 20)
+            digest.update(repr((budgeted.decision, budgeted.witness, budgeted.explored)).encode())
+        assert digest.hexdigest() == (
+            "b23848e752a09d08b6e0e56a1bf4b395226964765549d42f7df609e3fb6c8865"
+        )
