@@ -17,15 +17,7 @@ from typing import Sequence, TextIO
 from . import control as ctl
 from . import fileio, harness
 from .elections import SYSTEMS, tally
-from .gadgets import (
-    GadgetError,
-    gadget_deletion_to_candidate_partition,
-    gadget_hs_candidates,
-    gadget_hs_delete_constructive,
-    gadget_hs_destructive_candidate_partition,
-    gadget_rhs_voter_partition_tp,
-    gadget_x3c_voter_partition_te,
-)
+from .gadgets import GadgetError, X3CInstance
 from .oracles import solve_hitting_set, solve_x3c
 
 __all__ = ["run_cli", "main", "RESISTANCE_TABLE"]
@@ -47,15 +39,6 @@ RESISTANCE_TABLE = (
     ("Partition of voters", "TE", "RV", "RV", "RR", "RV", "RR"),
     ("Partition of voters", "TP", "RV", "RR", "RR", "RV", "RR"),
 )
-
-_GADGET_BUILDERS = {
-    "hs-candidates": (gadget_hs_candidates, "hs"),
-    "hs-delete-constructive": (gadget_hs_delete_constructive, "hs"),
-    "rhs-voter-partition-tp": (gadget_rhs_voter_partition_tp, "hs"),
-    "x3c-voter-partition-te": (gadget_x3c_voter_partition_te, "x3c"),
-    "hs-destructive-candidate-partition": (gadget_hs_destructive_candidate_partition, "hs"),
-    "deletion-to-candidate-partition": (None, "election"),
-}
 
 _WITNESS_LABEL = {
     ctl.ADD_CANDIDATES: "add",
@@ -90,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_control.add_argument("file")
 
     p_gadget = sub.add_parser("gadget", help="compile an NP instance into a gadget election")
-    p_gadget.add_argument("type", choices=sorted(_GADGET_BUILDERS))
+    p_gadget.add_argument("type", choices=sorted(harness.GADGET_NAMES))
     p_gadget.add_argument("file")
     p_gadget.add_argument("-o", "--output", required=True)
     p_gadget.add_argument("--instance", type=int, default=0,
@@ -190,29 +173,30 @@ def _cmd_control(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def _gadget_source(gadget_name: str, text: str):
+    """The source ``harness.build_gadget`` takes, read from an instance file."""
+    if gadget_name == "deletion-to-candidate-partition":
+        parsed = fileio.parse_election(text)
+        instance = parsed.instance
+        if (
+            instance is None
+            or instance.family != ctl.DELETE_CANDIDATES
+            or instance.goal != ctl.CONSTRUCTIVE
+        ):
+            raise fileio.ParseError(
+                "this gadget needs a constructive delete-candidates instance section"
+            )
+        return parsed.election, instance.distinguished, instance.limit
+    if gadget_name == "x3c-voter-partition-te":
+        return fileio.parse_x3c_instance(text)
+    return fileio.parse_hs_instance(text)
+
+
 def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    builder, kind = _GADGET_BUILDERS[args.type]
     text = _read(args.file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if kind == "hs":
-            gadget = builder(fileio.parse_hs_instance(text))
-        elif kind == "x3c":
-            gadget = builder(fileio.parse_x3c_instance(text))
-        else:
-            parsed = fileio.parse_election(text)
-            instance = parsed.instance
-            if (
-                instance is None
-                or instance.family != ctl.DELETE_CANDIDATES
-                or instance.goal != ctl.CONSTRUCTIVE
-            ):
-                raise fileio.ParseError(
-                    "this gadget needs a constructive delete-candidates instance section"
-                )
-            gadget = gadget_deletion_to_candidate_partition(
-                parsed.election, instance.distinguished, instance.limit
-            )
+        gadget = harness.build_gadget(args.type, _gadget_source(args.type, text))
     for w in caught:
         print(f"warning: {w.message}", file=err)
     if not 0 <= args.instance < len(gadget.instances):
@@ -234,23 +218,19 @@ def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 def _cmd_oracle(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     text = _read(args.file)
-    has_k = any(
-        line.split("#")[0].strip().startswith("k:") for line in text.splitlines()
-    )
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        if has_k:
-            result = solve_hitting_set(fileio.parse_hs_instance(text))
-        else:
-            result = solve_x3c(fileio.parse_x3c_instance(text))
+        problem = fileio.parse_problem(text)
+        exact_cover = isinstance(problem, X3CInstance)
+        result = solve_x3c(problem) if exact_cover else solve_hitting_set(problem)
     for w in caught:
         print(f"warning: {w.message}", file=err)
     print("YES" if result.decision else "NO", file=out)
     if result.decision:
-        if has_k:
-            print(f"witness: {' '.join(result.witness)}", file=out)
-        else:
+        if exact_cover:
             print(f"witness: {' | '.join(' '.join(s) for s in result.witness)}", file=out)
+        else:
+            print(f"witness: {' '.join(result.witness)}", file=out)
     if result.optimum is not None:
         print(f"optimum: {result.optimum}", file=out)
     return 0

@@ -325,50 +325,49 @@ def _scan(actions: Iterable, evaluate: Callable, budget: int | None) -> ControlO
 # ---------------------------------------------------------------------------
 # per-family solvers
 
-def _require(instance: ControlInstance, family: str) -> None:
-    if instance.family != family:
-        raise InvalidInstance(f"expected a {family} instance, got {instance.family}")
+def _require(instance: ControlInstance, *families: str) -> None:
+    if instance.family not in families:
+        raise InvalidInstance(f"expected a {' or '.join(families)} instance, got {instance.family}")
 
 
-def solve_add_candidates(
+def _candidate_domain(instance: ControlInstance) -> tuple[str, ...]:
+    """The candidates an add/delete-candidates action may choose from.
+
+    These are the spoilers when adding.  When deleting, everyone but the
+    distinguished candidate is deletable: the problem statement forbids
+    deleting them for destructive control, and deleting them can never
+    help a constructive goal, so excluding them uniformly only prunes
+    the search.
+    """
+    if instance.family == ADD_CANDIDATES:
+        return instance.spoilers
+    return tuple(c for c in instance.base.candidates if c != instance.distinguished)
+
+
+def _voter_caps(instance: ControlInstance) -> list[int]:
+    """Per-group caps of an add/delete-voters action: pool or base multiplicities."""
+    groups = instance.pool if instance.family == ADD_VOTERS else instance.base.ballots
+    return [g.multiplicity for g in groups]
+
+
+def _solve_candidate_subset(
     instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
-    """Decide control by adding at most ``limit`` spoiler candidates."""
-    _require(instance, ADD_CANDIDATES)
+    """Decide control by adding spoilers or deleting candidates, at most ``limit`` of them.
+
+    Spoilers start unregistered and every deletable candidate starts
+    registered, so toggling the chosen candidates covers both actions.
+    """
+    _require(instance, ADD_CANDIDATES, DELETE_CANDIDATES)
     base = instance.base
     registered = _mask_of(base.candidates, instance.registered)
     wanted = 1 << base.index(instance.distinguished)
     winners = _subset_winners(base, instance.system)
-    limit = min(instance.limit, len(instance.spoilers))
 
-    def evaluate(added: tuple[str, ...]) -> bool:
-        return _goal_met(instance.goal, wanted, winners(registered | _mask_of(base.candidates, added)))
+    def evaluate(chosen: tuple[str, ...]) -> bool:
+        return _goal_met(instance.goal, wanted, winners(registered ^ _mask_of(base.candidates, chosen)))
 
-    return _scan(_subsets_by_size(instance.spoilers, limit), evaluate, budget)
-
-
-def solve_delete_candidates(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by deleting at most ``limit`` candidates.
-
-    The distinguished candidate is never deletable: the problem
-    statement forbids it for destructive control, and deleting them can
-    never help a constructive goal, so excluding them uniformly only
-    prunes the search.
-    """
-    _require(instance, DELETE_CANDIDATES)
-    base = instance.base
-    deletable = tuple(c for c in base.candidates if c != instance.distinguished)
-    limit = min(instance.limit, len(deletable))
-    everyone = (1 << len(base.candidates)) - 1
-    wanted = 1 << base.index(instance.distinguished)
-    winners = _subset_winners(base, instance.system)
-
-    def evaluate(deleted: tuple[str, ...]) -> bool:
-        return _goal_met(instance.goal, wanted, winners(everyone ^ _mask_of(base.candidates, deleted)))
-
-    return _scan(_subsets_by_size(deletable, limit), evaluate, budget)
+    return _scan(_subsets_by_size(_candidate_domain(instance), instance.limit), evaluate, budget)
 
 
 def _voter_rows(
@@ -379,92 +378,60 @@ def _voter_rows(
     return rows, [g.multiplicity for g in groups]
 
 
-def solve_add_voters(
+def _solve_voter_count(
     instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
-    """Decide control by registering at most ``limit`` voters from the pool.
+    """Decide control by registering pool voters or removing voters, at most ``limit`` in all.
 
-    Partial multiplicities are allowed: an action takes ``j_i`` voters
-    from pool group ``i``.
+    Partial multiplicities are allowed: an action takes or removes
+    ``j_i`` voters of group ``i``.  Each move adds a pool row to the
+    base totals, or subtracts a base row from them.
     """
-    _require(instance, ADD_VOTERS)
+    _require(instance, ADD_VOTERS, DELETE_VOTERS)
     base = instance.base
     rows, mults = _voter_rows(instance, base.ballots + instance.pool)
     voters = len(base.ballots)
-    base_totals = weighted_sums(rows[:voters], mults[:voters], [0] * len(base.candidates))
-    pool_rows = rows[voters:]
+    totals = weighted_sums(rows[:voters], mults[:voters], [0] * len(base.candidates))
+    if instance.family == ADD_VOTERS:
+        moves = rows[voters:]
+    else:
+        moves = [tuple(-s for s in row) for row in rows[:voters]]
     wanted = 1 << base.index(instance.distinguished)
 
-    def evaluate(take: tuple[int, ...]) -> bool:
-        return _goal_met(instance.goal, wanted, _top(weighted_sums(pool_rows, take, base_totals)))
+    def evaluate(counts: tuple[int, ...]) -> bool:
+        return _goal_met(instance.goal, wanted, _top(weighted_sums(moves, counts, totals)))
 
-    return _scan(_capped_vectors(mults[voters:], instance.limit), evaluate, budget)
+    return _scan(_capped_vectors(_voter_caps(instance), instance.limit), evaluate, budget)
 
 
-def solve_delete_voters(
+def _solve_candidate_partition(
     instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
-    """Decide control by removing at most ``limit`` voters."""
-    _require(instance, DELETE_VOTERS)
-    base = instance.base
-    rows, caps = _voter_rows(instance, base.ballots)
-    full = weighted_sums(rows, caps, [0] * len(base.candidates))
-    removed = [tuple(-s for s in row) for row in rows]
-    wanted = 1 << base.index(instance.distinguished)
+    """Decide control by partition or runoff partition of candidates.
 
-    def evaluate(remove: tuple[int, ...]) -> bool:
-        return _goal_met(instance.goal, wanted, _top(weighted_sums(removed, remove, full)))
-
-    return _scan(_capped_vectors(caps, instance.limit), evaluate, budget)
-
-
-def solve_partition_candidates(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by partition of candidates (one-sided subelection).
-
-    The first group runs a subelection; its survivors join the second
-    group for the final election over the full voter set.
+    The first group runs a subelection.  Its survivors face the second
+    group in the final election over the full voter set; with a runoff,
+    the second group first runs a subelection of its own.
     """
-    _require(instance, PARTITION_CANDIDATES)
+    _require(instance, PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES)
     base = instance.base
     everyone = (1 << len(base.candidates)) - 1
     wanted = 1 << base.index(instance.distinguished)
     winners = _subset_winners(base, instance.system)
+    runoff = instance.family == RUNOFF_PARTITION_CANDIDATES
 
     def evaluate(mask: int) -> bool:
-        survivors = _survivors(winners(mask), instance.tie_model)
-        return _goal_met(instance.goal, wanted, winners(survivors | everyone ^ mask))
+        first = _survivors(winners(mask), instance.tie_model)
+        second = everyone ^ mask
+        if runoff:
+            second = _survivors(winners(second), instance.tie_model)
+        return _goal_met(instance.goal, wanted, winners(first | second))
 
-    outcome = _scan(range(1 << len(base.candidates)), evaluate, budget)
-    return _mask_witness(outcome, base.candidates)
-
-
-def solve_runoff_partition_candidates(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by runoff partition of candidates (subelections on both sides)."""
-    _require(instance, RUNOFF_PARTITION_CANDIDATES)
-    base = instance.base
-    everyone = (1 << len(base.candidates)) - 1
-    wanted = 1 << base.index(instance.distinguished)
-    winners = _subset_winners(base, instance.system)
-
-    def evaluate(mask: int) -> bool:
-        d1 = _survivors(winners(mask), instance.tie_model)
-        d2 = _survivors(winners(everyone ^ mask), instance.tie_model)
-        return _goal_met(instance.goal, wanted, winners(d1 | d2))
-
-    outcome = _scan(range(1 << len(base.candidates)), evaluate, budget)
-    return _mask_witness(outcome, base.candidates)
-
-
-def _mask_witness(outcome: ControlOutcome, cands: tuple[str, ...]) -> ControlOutcome:
-    if outcome.decision and outcome.witness is not None:
-        mask = outcome.witness
-        members = tuple(c for i, c in enumerate(cands) if mask >> i & 1)
-        return ControlOutcome(outcome.decision, members, outcome.explored)
-    return outcome
+    outcome = _scan(range(everyone + 1), evaluate, budget)
+    if not outcome.decision:
+        return outcome
+    first = tuple(c for i, c in enumerate(base.candidates) if outcome.witness >> i & 1)
+    return ControlOutcome(True, first, outcome.explored)
 
 
 def solve_partition_voters(
@@ -497,6 +464,11 @@ def solve_partition_voters(
     return _scan(actions, evaluate, budget)
 
 
+# one solver per action shape; each reads its family from the instance
+solve_add_candidates = solve_delete_candidates = _solve_candidate_subset
+solve_add_voters = solve_delete_voters = _solve_voter_count
+solve_partition_candidates = solve_runoff_partition_candidates = _solve_candidate_partition
+
 _SOLVERS = {
     ADD_CANDIDATES: solve_add_candidates,
     DELETE_CANDIDATES: solve_delete_candidates,
@@ -523,14 +495,10 @@ def solve(
 
 def search_space(instance: ControlInstance) -> int:
     """Number of actions the exhaustive solver would enumerate."""
-    if instance.family == ADD_CANDIDATES:
-        return _count_subsets(len(instance.spoilers), instance.limit)
-    if instance.family == DELETE_CANDIDATES:
-        return _count_subsets(len(instance.base.candidates) - 1, instance.limit)
-    if instance.family == ADD_VOTERS:
-        return _count_capped_vectors([g.multiplicity for g in instance.pool], instance.limit)
-    if instance.family == DELETE_VOTERS:
-        return _count_capped_vectors([g.multiplicity for g in instance.base.ballots], instance.limit)
+    if instance.family in (ADD_CANDIDATES, DELETE_CANDIDATES):
+        return _count_subsets(len(_candidate_domain(instance)), instance.limit)
+    if instance.family in (ADD_VOTERS, DELETE_VOTERS):
+        return _count_capped_vectors(_voter_caps(instance), instance.limit)
     if instance.family in (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES):
         return 1 << len(instance.base.candidates)
     return math.prod(g.multiplicity + 1 for g in instance.base.ballots)

@@ -53,6 +53,7 @@ __all__ = [
     "ParsedElection",
     "parse_election",
     "serialize_election",
+    "parse_problem",
     "parse_hs_instance",
     "parse_x3c_instance",
     "serialize_hs_instance",
@@ -145,7 +146,10 @@ def parse_election(text: str) -> ParsedElection:
             raise ParseError(f"duplicate candidate id {cid!r}")
         seen.add(cid)
 
-    election = _build_election(k, candidates, ballot_rows)
+    try:
+        election = Election(k, tuple(candidates), _ballot_groups(k, candidates, ballot_rows))
+    except InvalidElection as exc:
+        raise ParseError(str(exc)) from exc
     instance = _build_instance(election, system, fields, pool_rows, k, candidates)
     return ParsedElection(election, instance, system)
 
@@ -168,9 +172,10 @@ def _parse_ballot_line(line: str, lineno: int) -> tuple[int, int, tuple[int, ...
     return lineno, mult, scores
 
 
-def _build_election(
+def _ballot_groups(
     k: int, candidates: list[str], rows: list[tuple[int, int, tuple[int, ...]]]
-) -> Election:
+) -> tuple[BallotGroup, ...]:
+    """Ballot or pool rows as groups, each checked for width and score range."""
     groups = []
     for lineno, mult, scores in rows:
         if len(scores) != len(candidates):
@@ -181,10 +186,7 @@ def _build_election(
             if not 0 <= s <= k:
                 raise ParseError(f"score {s} outside [0, {k}]", lineno)
         groups.append(BallotGroup(scores, mult))
-    try:
-        return Election(k, tuple(candidates), tuple(groups))
-    except InvalidElection as exc:
-        raise ParseError(str(exc)) from exc
+    return tuple(groups)
 
 
 def _build_instance(
@@ -236,18 +238,9 @@ def _build_instance(
             raise ParseError(f"unknown spoiler candidates {unknown}", spoiler_field[0])
     if fields:
         raise ParseError(f"unexpected instance fields {sorted(fields)}")
-    pool = []
-    for row_line, mult, scores in pool_rows:
-        if family != ADD_VOTERS:
-            raise ParseError("pool: is only valid for add-voters", row_line)
-        if len(scores) != len(candidates):
-            raise ParseError(
-                f"expected {len(candidates)} scores, got {len(scores)}", row_line
-            )
-        for s in scores:
-            if not 0 <= s <= k:
-                raise ParseError(f"score {s} outside [0, {k}]", row_line)
-        pool.append(BallotGroup(scores, mult))
+    if pool_rows and family != ADD_VOTERS:
+        raise ParseError("pool: is only valid for add-voters", pool_rows[0][0])
+    pool = _ballot_groups(k, candidates, pool_rows)
     try:
         return ControlInstance(
             base=election,
@@ -258,7 +251,7 @@ def _build_instance(
             tie_model=tie_model,
             limit=limit,
             spoilers=spoilers,
-            pool=tuple(pool),
+            pool=pool,
         )
     except InvalidInstance as exc:
         raise ParseError(str(exc)) from exc
@@ -339,9 +332,34 @@ def _dedupe_set(lineno: int, members: list[str], elements: list[str]) -> tuple[s
     unique = list(dict.fromkeys(members))
     if len(unique) != len(members):
         warnings.warn(
-            f"line {lineno}: duplicate elements within a set collapsed", stacklevel=3
+            f"line {lineno}: duplicate elements within a set collapsed", stacklevel=4
         )
     return tuple(unique)
+
+
+def _problem(
+    elements: list[str], sets: list[tuple[int, list[str]]], k: tuple[int, int] | None
+) -> HittingSetInstance | X3CInstance:
+    """A hitting-set instance when the file gave ``k``, else an exact-cover instance."""
+    canon = []
+    for lineno, members in sets:
+        members_canon = _dedupe_set(lineno, members, elements)
+        if k is None and len(members_canon) != 3:
+            raise ParseError(
+                f"exact-cover sets need exactly 3 elements, got {len(members_canon)}", lineno
+            )
+        canon.append(members_canon)
+    try:
+        if k is None:
+            return X3CInstance(tuple(elements), tuple(canon))
+        return HittingSetInstance(tuple(elements), tuple(canon), k[1])
+    except GadgetError as exc:
+        raise ParseError(str(exc)) from exc
+
+
+def parse_problem(text: str) -> HittingSetInstance | X3CInstance:
+    """Parse a problem file: hitting set with a ``k:`` header, exact cover without one."""
+    return _problem(*_parse_problem_file(text))
 
 
 def parse_hs_instance(text: str) -> HittingSetInstance:
@@ -349,11 +367,7 @@ def parse_hs_instance(text: str) -> HittingSetInstance:
     elements, sets, k = _parse_problem_file(text)
     if k is None:
         raise ParseError("missing required header k:")
-    canon = [_dedupe_set(lineno, members, elements) for lineno, members in sets]
-    try:
-        return HittingSetInstance(tuple(elements), tuple(canon), k[1])
-    except GadgetError as exc:
-        raise ParseError(str(exc)) from exc
+    return _problem(elements, sets, k)
 
 
 def parse_x3c_instance(text: str) -> X3CInstance:
@@ -361,18 +375,7 @@ def parse_x3c_instance(text: str) -> X3CInstance:
     elements, sets, k = _parse_problem_file(text)
     if k is not None:
         raise ParseError("exact-cover files take no k: header", k[0])
-    canon = []
-    for lineno, members in sets:
-        members_canon = _dedupe_set(lineno, members, elements)
-        if len(members_canon) != 3:
-            raise ParseError(
-                f"exact-cover sets need exactly 3 elements, got {len(members_canon)}", lineno
-            )
-        canon.append(members_canon)
-    try:
-        return X3CInstance(tuple(elements), tuple(canon))
-    except GadgetError as exc:
-        raise ParseError(str(exc)) from exc
+    return _problem(elements, sets, k)
 
 
 def serialize_hs_instance(hs: HittingSetInstance) -> str:

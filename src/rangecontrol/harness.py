@@ -39,7 +39,7 @@ from .gadgets import (
     X3CInstance,
     delete_constructive_subelection_identities,
     destructive_partition_subelection_identities,
-    # the gadget_* builders are looked up by name in _build
+    # the gadget_* builders are looked up by name in build_gadget
     gadget_deletion_to_candidate_partition,
     gadget_hs_candidates,
     gadget_hs_delete_constructive,
@@ -67,6 +67,7 @@ __all__ = [
     "check_score_identities",
     "evaluate_identity",
     "audit_gadget",
+    "build_gadget",
     "replay_instance",
     "encode_hs",
     "decode_hs",
@@ -475,8 +476,12 @@ _X3C = "x3c-voter-partition-te"
 _DELETION = "deletion-to-candidate-partition"
 
 
-def _build(gadget_name: str, source) -> GadgetOutput:
-    """The named gadget on ``source``; the builder is looked up at call time."""
+def build_gadget(gadget_name: str, source) -> GadgetOutput:
+    """The named gadget on ``source``: an HS/X3C instance or an (election, w, limit) triple.
+
+    The builder is looked up as a module global at call time, so a rebound
+    ``gadget_*`` name is seen by every build.
+    """
     builder = globals()["gadget_" + gadget_name.replace("-", "_")]
     return builder(*source) if gadget_name == _DELETION else builder(source)
 
@@ -484,7 +489,7 @@ def _build(gadget_name: str, source) -> GadgetOutput:
 def _build_or_none(gadget_name: str, source) -> GadgetOutput | None:
     """The gadget, or None when ``source`` violates one of its preconditions."""
     try:
-        return _build(gadget_name, source)
+        return build_gadget(gadget_name, source)
     except GadgetError:
         return None
 
@@ -636,7 +641,7 @@ def replay_instance(
     """Re-run one audited instance from its report encoding."""
     spec = AuditSpec(gadget=gadget_name, budget=budget, checks=tuple(checks or ()))
     source = _decode(gadget_name, encoding)
-    return _record(0, encoding, source, _build(gadget_name, source), spec)
+    return _record(0, encoding, source, build_gadget(gadget_name, source), spec)
 
 
 # ---------------------------------------------------------------------------
@@ -650,14 +655,14 @@ def _sources(spec: AuditSpec) -> Iterator[tuple[str, object, GadgetOutput]]:
             raise ValueError("the deletion gadget audit samples random source elections")
         for trial in range(spec.trials):
             source = _random_deletion_source(spec, trial)
-            yield encode_deletion_source(*source), source, _build(name, source)
+            yield encode_deletion_source(*source), source, build_gadget(name, source)
     elif name == _X3C:
         if spec.mode == "exhaustive":
             sources = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
         else:
             sources = (_random_x3c(spec, trial) for trial in range(spec.trials))
         for x3c in sources:
-            yield encode_x3c(x3c), x3c, _build(name, x3c)
+            yield encode_x3c(x3c), x3c, build_gadget(name, x3c)
     elif spec.mode == "exhaustive":
         for hs in exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free):
             gadget = _build_or_none(name, hs)

@@ -137,6 +137,12 @@ class TestOracle:
         code, out, _ = cli("oracle", str(path))
         assert code == 0 and out.splitlines()[0] == "YES"
 
+    def test_spaced_k_header_is_a_hitting_set(self, tmp_path):
+        path = tmp_path / "hs.txt"
+        path.write_text("elements: b1 b2 b3\nset: b1 b2 b3\nset: b2\nk : 2\n")
+        code, out, err = cli("oracle", str(path))
+        assert (code, out, err) == (0, "YES\nwitness: b2\noptimum: 1\n", "")
+
     def test_duplicate_element_warning_on_stderr(self, tmp_path):
         path = tmp_path / "hs.txt"
         path.write_text("elements: b1 b2\nset: b1 b1\nk: 1\n")
@@ -162,6 +168,19 @@ class TestGadget:
                            "--instance", "2")
         assert code == 0
         assert "action: delete-candidates" in out_path.read_text()
+
+    def test_builds_through_the_harness_builder(self, tmp_path, monkeypatch):
+        from rangecontrol import harness
+
+        calls = []
+        original = harness.gadget_hs_candidates
+        monkeypatch.setattr(
+            harness, "gadget_hs_candidates", lambda hs: calls.append(hs) or original(hs)
+        )
+        src = tmp_path / "hs.txt"
+        src.write_text("elements: b1 b2\nset: b1\nset: b2\nk: 1\n")
+        code, _, _ = cli("gadget", "hs-candidates", str(src), "-o", str(tmp_path / "g.txt"))
+        assert code == 0 and len(calls) == 1
 
     def test_deletion_gadget_needs_instance_section(self, tmp_path):
         src = tmp_path / "e.txt"

@@ -490,3 +490,31 @@ class TestPinnedOutputs:
         assert digest.hexdigest() == (
             "b23848e752a09d08b6e0e56a1bf4b395226964765549d42f7df609e3fb6c8865"
         )
+
+
+class TestSharedSolvers:
+    PAIRS = {
+        solve_add_candidates: (ADD_CANDIDATES, DELETE_CANDIDATES),
+        solve_add_voters: (ADD_VOTERS, DELETE_VOTERS),
+        solve_partition_candidates: (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES),
+        solve_partition_voters: (PARTITION_VOTERS,),
+    }
+
+    @staticmethod
+    def _one_per_family():
+        found = {}
+        seed = 0
+        while len(found) < 7:
+            inst = gen_random_control_instance(seed, max_actions=500)
+            found.setdefault(inst.family, inst)
+            seed += 1
+        return found
+
+    def test_each_solver_takes_its_pair_and_rejects_the_rest(self):
+        for family, inst in self._one_per_family().items():
+            for solver, pair in self.PAIRS.items():
+                if family in pair:
+                    assert solver(inst) == solve(inst)
+                else:
+                    with pytest.raises(InvalidInstance):
+                        solver(inst)

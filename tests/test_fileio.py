@@ -8,6 +8,7 @@ from rangecontrol.fileio import (
     ParseError,
     parse_election,
     parse_hs_instance,
+    parse_problem,
     parse_x3c_instance,
     serialize_election,
     serialize_hs_instance,
@@ -204,3 +205,11 @@ class TestProblemFiles:
     def test_x3c_rejects_k_header(self):
         with pytest.raises(ParseError):
             parse_x3c_instance("elements: b1 b2 b3\nset: b1 b2 b3\nk: 1\n")
+
+    def test_problem_kind_follows_the_parsed_k(self):
+        hs = parse_problem("elements: b1 b2 b3\nset: b1 b2 b3\nk : 2\n")
+        assert hs == parse_hs_instance("elements: b1 b2 b3\nset: b1 b2 b3\nk: 2\n")
+        x3c = parse_problem("elements: b1 b2 b3\nset: b1 b2 b3  # k: 1\n")
+        assert x3c == parse_x3c_instance("elements: b1 b2 b3\nset: b1 b2 b3\n")
+        with pytest.raises(ParseError, match="exactly 3 elements"):
+            parse_problem("elements: b1 b2 b3\nset: b1 b2\n")
