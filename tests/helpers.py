@@ -22,6 +22,7 @@ from rangecontrol.control import (
     ControlInstance,
 )
 from rangecontrol.elections import Election
+from rangecontrol.harness import exhaustive_hs_instances, exhaustive_x3c_instances
 
 
 def brute_tally(election: Election, system: str) -> dict[str, Fraction]:
@@ -183,3 +184,46 @@ def brute_x3c(elements, sets) -> bool:
         if total == len(seen) == len(elements):
             return True
     return False
+
+
+def family_masks(elements, sets) -> tuple[int, ...]:
+    """Each set as a bitmask over ``elements`` (bit i is ``elements[i]``)."""
+    index = {e: i for i, e in enumerate(elements)}
+    return tuple(sum(1 << index[e] for e in s) for s in sets)
+
+
+def canonical_family(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The least sorted family over all n! element permutations of ``masks``."""
+    best = None
+    for perm in itertools.permutations(range(n)):
+        permuted = []
+        for mask in masks:
+            pm = 0
+            for i in range(n):
+                if mask >> i & 1:
+                    pm |= 1 << perm[i]
+            permuted.append(pm)
+        cand = tuple(sorted(permuted))
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+def _is_canonical(elements, sets) -> bool:
+    masks = family_masks(elements, sets)
+    return canonical_family(masks, len(elements)) == tuple(sorted(masks))
+
+
+def reference_hs_instances(n_range, m_range, k_range):
+    """The isomorph-free hitting-set sweep by definition: the raw sweep,
+    keeping each family that is the least member of its orbit."""
+    for inst in exhaustive_hs_instances(n_range, m_range, k_range, isomorphism_free=False):
+        if _is_canonical(inst.universe, inst.sets):
+            yield inst
+
+
+def reference_x3c_instances(k_range, set_range):
+    """The isomorph-free exact-cover sweep by definition (see reference_hs_instances)."""
+    for inst in exhaustive_x3c_instances(k_range, set_range, isomorphism_free=False):
+        if _is_canonical(inst.elements, inst.sets):
+            yield inst

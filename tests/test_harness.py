@@ -27,6 +27,13 @@ from rangecontrol.harness import (
 )
 from rangecontrol.oracles import solve_x3c, validate_restricted_hs
 
+from helpers import (
+    canonical_family,
+    family_masks,
+    reference_hs_instances,
+    reference_x3c_instances,
+)
+
 
 class TestGenerators:
     def test_hs_deterministic(self):
@@ -80,12 +87,25 @@ class TestExhaustiveEnumeration:
         raw = list(exhaustive_hs_instances((3, 3), (2, 2), (1, 1), isomorphism_free=False))
         assert len(iso) < len(raw)
         # canonical representative of every raw family is in the deduped list
-        assert {i.k for i in iso} == {1}
+        kept = {(family_masks(i.universe, i.sets), i.k) for i in iso}
+        for r in raw:
+            least = canonical_family(family_masks(r.universe, r.sets), r.n)
+            assert (least, r.k) in kept
 
     def test_x3c_k1_families(self):
         insts = list(exhaustive_x3c_instances((1, 1), (1, 2)))
         assert [len(i.sets) for i in insts] == [1, 2]
         assert all(i.elements == ("b1", "b2", "b3") for i in insts)
+
+    @pytest.mark.parametrize("n, m", [((1, 5), (1, 2)), ((1, 4), (1, 3))])
+    def test_hs_matches_reference(self, n, m):
+        got = list(exhaustive_hs_instances(n, m, (1, 2)))
+        assert got == list(reference_hs_instances(n, m, (1, 2)))
+
+    def test_x3c_matches_reference(self):
+        # families come in triple order, which is not mask order
+        got = list(exhaustive_x3c_instances((1, 2), (1, 3)))
+        assert got == list(reference_x3c_instances((1, 2), (1, 3)))
 
     def test_order_is_by_size_then_family(self):
         insts = list(exhaustive_hs_instances((1, 2), (1, 1), (1, 1)))
@@ -271,3 +291,23 @@ def test_report_bytes_are_pinned(spec, text_sha, jsonl_sha):
     report = audit_gadget(spec)
     assert hashlib.sha256(render_text(report).encode()).hexdigest() == text_sha
     assert hashlib.sha256(render_jsonl(report).encode()).hexdigest() == jsonl_sha
+
+
+# sha256 of repr(list(...)) of two isomorph-free sweeps, computed with the
+# n!-per-family reference filter (tests/helpers.py: canonical_family).
+PINNED_ENUMERATIONS = [
+    ("hs n=6 m=2..3 k=1", lambda: exhaustive_hs_instances((6, 6), (2, 3), (1, 1)), 379,
+     "041dafa48716f1dbf415e0385db9d93409b0d486a374bd85ce6d676e55cb2cdc"),
+    ("x3c k=2 sets=2..5", lambda: exhaustive_x3c_instances((2, 2), (2, 5)), 115,
+     "36985cb820cc29b9a9452bba78bc3073422ecd56e2876e0bac8cc774ccece292"),
+]
+
+
+@pytest.mark.parametrize(
+    "sweep, count, sha", [p[1:] for p in PINNED_ENUMERATIONS],
+    ids=[p[0] for p in PINNED_ENUMERATIONS],
+)
+def test_enumeration_is_pinned(sweep, count, sha):
+    instances = list(sweep())
+    assert len(instances) == count
+    assert hashlib.sha256(repr(instances).encode()).hexdigest() == sha
