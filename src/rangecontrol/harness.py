@@ -26,7 +26,7 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from . import control as ctl
 from .control import ControlInstance, describe, solve
@@ -310,8 +310,9 @@ def gen_random_control_instance(seed: int, max_actions: int = 30000) -> ControlI
 # ---------------------------------------------------------------------------
 # exhaustive instance enumeration (ordered by n, m, k, then family)
 
-def _canonical_family(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
-    best = None
+def _orbit(masks: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
+    """The sorted families that the n! element permutations make of ``masks``."""
+    orbit = set()
     for perm in itertools.permutations(range(n)):
         permuted = []
         for mask in masks:
@@ -320,10 +321,28 @@ def _canonical_family(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
                 if mask >> i & 1:
                     pm |= 1 << perm[i]
             permuted.append(pm)
-        cand = tuple(sorted(permuted))
-        if best is None or cand < best:
-            best = cand
-    return best
+        orbit.add(tuple(sorted(permuted)))
+    return orbit
+
+
+def _least_of_orbit(n: int) -> Callable[[tuple[int, ...]], bool]:
+    """For one pass that asks about each sorted family once: is it the least of its orbit?
+
+    The first member met walks the orbit and maps the rest to its least member;
+    each is answered later by one ``dict.pop``, so the memo holds only unvisited ones.
+    """
+    least: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def is_least(family: tuple[int, ...]) -> bool:
+        rep = least.pop(family, None)
+        if rep is None:
+            orbit = _orbit(family, n)
+            rep = min(orbit)
+            orbit.discard(family)
+            least.update(dict.fromkeys(orbit, rep))
+        return family == rep
+
+    return is_least
 
 
 def exhaustive_hs_instances(
@@ -332,13 +351,17 @@ def exhaustive_hs_instances(
     k_range: tuple[int, int],
     isomorphism_free: bool = True,
 ) -> Iterator[HittingSetInstance]:
-    """All hitting-set instances within bounds, ascending by (n, m, k, family)."""
+    """All hitting-set instances within bounds, ascending by (n, m, k, family).
+
+    ``isomorphism_free`` yields the least member of each orbit under element
+    permutations, in ascending order, at one n! orbit walk per class."""
     for n in range(max(1, n_range[0]), n_range[1] + 1):
         universe = tuple(f"b{i + 1}" for i in range(n))
         nonempty = range(1, 1 << n)
         for m in range(max(1, m_range[0]), m_range[1] + 1):
+            is_least = _least_of_orbit(n)
             for family in itertools.combinations_with_replacement(nonempty, m):
-                if isomorphism_free and _canonical_family(family, n) != tuple(sorted(family)):
+                if isomorphism_free and not is_least(family):
                     continue
                 sets = tuple(
                     tuple(universe[i] for i in range(n) if mask >> i & 1) for mask in family
@@ -352,21 +375,25 @@ def exhaustive_x3c_instances(
     set_range: tuple[int, int],
     isomorphism_free: bool = True,
 ) -> Iterator[X3CInstance]:
-    """All exact-cover instances within bounds, ascending by (k, |S|, family)."""
+    """All exact-cover instances within bounds, ascending by (k, |S|, family).
+
+    ``isomorphism_free`` yields the least member (by sorted masks) of each orbit
+    under element permutations, in ascending order, at one n! orbit walk per class."""
     for k in range(max(1, k_range[0]), k_range[1] + 1):
         elements = tuple(f"b{i + 1}" for i in range(3 * k))
         triples = list(itertools.combinations(range(3 * k), 3))
         masks = {t: (1 << t[0]) | (1 << t[1]) | (1 << t[2]) for t in triples}
         full = (1 << (3 * k)) - 1
         for count in range(max(k, set_range[0]), set_range[1] + 1):
+            is_least = _least_of_orbit(3 * k)
             for family in itertools.combinations_with_replacement(triples, count):
                 union = 0
                 for t in family:
                     union |= masks[t]
                 if union != full:
                     continue
-                fam_masks = tuple(masks[t] for t in family)
-                if isomorphism_free and _canonical_family(fam_masks, 3 * k) != tuple(sorted(fam_masks)):
+                # triple order is not mask order: key the orbit by sorted masks
+                if isomorphism_free and not is_least(tuple(sorted(masks[t] for t in family))):
                     continue
                 sets = tuple(tuple(elements[i] for i in t) for t in family)
                 yield X3CInstance(elements, sets)
