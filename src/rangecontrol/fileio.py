@@ -314,6 +314,8 @@ def _parse_problem_file(text: str) -> tuple[list[str], list[tuple[int, list[str]
                 raise ParseError("a set must list at least one element", lineno)
             sets.append((lineno, members))
         elif key == "k":
+            if k is not None:
+                raise ParseError("duplicate k: line", lineno)
             k = (lineno, _parse_int(value, "k", lineno))
         else:
             raise ParseError(f"unknown header {key!r}", lineno)

@@ -143,6 +143,12 @@ class TestOracle:
         code, out, err = cli("oracle", str(path))
         assert (code, out, err) == (0, "YES\nwitness: b2\noptimum: 1\n", "")
 
+    def test_repeated_k_header_is_a_parse_error(self, tmp_path):
+        path = tmp_path / "hs.txt"
+        path.write_text("elements: b1 b2\nset: b1\nset: b2\nk: 1\nk: 2\n")
+        code, out, err = cli("oracle", str(path))
+        assert (code, out, err) == (2, "", "error: line 5: duplicate k: line\n")
+
     def test_duplicate_element_warning_on_stderr(self, tmp_path):
         path = tmp_path / "hs.txt"
         path.write_text("elements: b1 b2\nset: b1 b1\nk: 1\n")
