@@ -378,7 +378,7 @@ def exhaustive_x3c_instances(
     """All exact-cover instances within bounds, ascending by (k, |S|, family).
 
     ``isomorphism_free`` yields the least member (by sorted masks) of each orbit
-    under element permutations, in ascending order, at one n! orbit walk per class."""
+    under element permutations, in ascending order, at one (3k)! orbit walk per class."""
     for k in range(max(1, k_range[0]), k_range[1] + 1):
         elements = tuple(f"b{i + 1}" for i in range(3 * k))
         triples = list(itertools.combinations(range(3 * k), 3))

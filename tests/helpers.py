@@ -192,9 +192,8 @@ def family_masks(elements, sets) -> tuple[int, ...]:
     return tuple(sum(1 << index[e] for e in s) for s in sets)
 
 
-def canonical_family(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
-    """The least sorted family over all n! element permutations of ``masks``."""
-    best = None
+def _permuted_families(masks: tuple[int, ...], n: int):
+    """The sorted family each of the n! element permutations makes of ``masks``."""
     for perm in itertools.permutations(range(n)):
         permuted = []
         for mask in masks:
@@ -203,15 +202,19 @@ def canonical_family(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
                 if mask >> i & 1:
                     pm |= 1 << perm[i]
             permuted.append(pm)
-        cand = tuple(sorted(permuted))
-        if best is None or cand < best:
-            best = cand
-    return best
+        yield tuple(sorted(permuted))
+
+
+def canonical_family(masks: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """The least sorted family over all n! element permutations of ``masks``."""
+    return min(_permuted_families(masks, n))
 
 
 def _is_canonical(elements, sets) -> bool:
+    """Whether the family is its own canonical form; stops at the first smaller one."""
     masks = family_masks(elements, sets)
-    return canonical_family(masks, len(elements)) == tuple(sorted(masks))
+    own = tuple(sorted(masks))
+    return all(own <= p for p in _permuted_families(masks, len(elements)))
 
 
 def reference_hs_instances(n_range, m_range, k_range):

@@ -87,25 +87,27 @@ class TestExhaustiveEnumeration:
         raw = list(exhaustive_hs_instances((3, 3), (2, 2), (1, 1), isomorphism_free=False))
         assert len(iso) < len(raw)
         # canonical representative of every raw family is in the deduped list
+        assert {i.k for i in iso} == {1}
         kept = {(family_masks(i.universe, i.sets), i.k) for i in iso}
-        for r in raw:
-            least = canonical_family(family_masks(r.universe, r.sets), r.n)
-            assert (least, r.k) in kept
+        assert kept == {
+            (canonical_family(family_masks(r.universe, r.sets), r.n), r.k) for r in raw
+        }
 
     def test_x3c_k1_families(self):
         insts = list(exhaustive_x3c_instances((1, 1), (1, 2)))
         assert [len(i.sets) for i in insts] == [1, 2]
         assert all(i.elements == ("b1", "b2", "b3") for i in insts)
 
-    @pytest.mark.parametrize("n, m", [((1, 5), (1, 2)), ((1, 4), (1, 3))])
+    @pytest.mark.parametrize("n, m", [((1, 5), (1, 3)), ((6, 6), (1, 2))])
     def test_hs_matches_reference(self, n, m):
         got = list(exhaustive_hs_instances(n, m, (1, 2)))
         assert got == list(reference_hs_instances(n, m, (1, 2)))
 
     def test_x3c_matches_reference(self):
-        # families come in triple order, which is not mask order
-        got = list(exhaustive_x3c_instances((1, 2), (1, 3)))
-        assert got == list(reference_x3c_instances((1, 2), (1, 3)))
+        # families come in triple order, which is not mask order; four sets
+        # are the fewest at which that difference changes the output
+        got = list(exhaustive_x3c_instances((1, 2), (1, 4)))
+        assert got == list(reference_x3c_instances((1, 2), (1, 4)))
 
     def test_order_is_by_size_then_family(self):
         insts = list(exhaustive_hs_instances((1, 2), (1, 1), (1, 1)))
