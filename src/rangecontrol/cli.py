@@ -2,8 +2,8 @@
 
 Commands: ``tally``, ``control``, ``gadget``, ``oracle``, ``verify``,
 ``table``.  Results go to stdout, diagnostics to stderr.  Exit status:
-0 on success, 2 on usage or parse errors, 3 when a control solve ran
-out of node budget.
+0 on success, 2 on usage or parse errors or an unbudgeted ``control`` search
+over ``MAX_UNBUDGETED_SPACE``, 3 when a control solve ran out of node budget.
 """
 
 from __future__ import annotations
@@ -20,7 +20,11 @@ from .elections import SYSTEMS, tally
 from .gadgets import GadgetError, X3CInstance
 from .oracles import solve_hitting_set, solve_x3c
 
-__all__ = ["run_cli", "main", "RESISTANCE_TABLE"]
+__all__ = ["run_cli", "main", "RESISTANCE_TABLE", "MAX_UNBUDGETED_SPACE"]
+
+# The largest search space ``control`` starts without ``--budget``: about
+# ten minutes at the ~6 us per action of the voter-partition scan.
+MAX_UNBUDGETED_SPACE = 10**8
 
 # Reported control classifications for comparison systems (V vulnerable,
 # I immune, R resistant; one C/D pair per system).  Static metadata from
@@ -66,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_control.add_argument("--system", choices=SYSTEMS, default=None,
                            help="override the file's system (defaults to rv)")
     p_control.add_argument("--witness", action="store_true")
-    p_control.add_argument("--budget", type=int, default=None)
+    p_control.add_argument("--budget", type=int, default=None,
+                           help=f"stop after N actions; needed above {MAX_UNBUDGETED_SPACE}")
     p_control.add_argument("--workers", type=int, default=1,
                            help="accepted for compatibility; has no effect, "
                                 "since every solve runs in one thread")
@@ -159,6 +164,9 @@ def _cmd_control(args: argparse.Namespace, out: TextIO) -> int:
     instance = parsed.instance
     if args.system is not None and args.system != instance.system:
         instance = replace(instance, system=args.system)
+    if args.budget is None and (space := ctl.search_space(instance)) > MAX_UNBUDGETED_SPACE:
+        raise ValueError(f"search space of {space} actions exceeds {MAX_UNBUDGETED_SPACE} "
+                         "without a budget; pass --budget N to search it anyway")
     outcome = ctl.solve(instance, budget=args.budget, workers=args.workers)
     if outcome.decision is None:
         print("BUDGET-EXCEEDED", file=out)

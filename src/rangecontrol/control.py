@@ -20,6 +20,8 @@ Enumeration canon (fixes witnesses and explored counts):
 
 The first success in this order is the canonical witness.  Solvers
 evaluate actions one at a time, in a single thread, in this order.
+Voter scans update the integer totals as the entries of the count tuple
+change, rather than re-tallying every action.
 
 A node budget caps how many actions may be evaluated.  Hitting the
 budget with actions left yields ``decision=None`` ("budget exceeded"),
@@ -274,25 +276,38 @@ def _count_subsets(domain_size: int, max_size: int) -> int:
     return sum(math.comb(domain_size, i) for i in range(min(max_size, domain_size) + 1))
 
 
-def _capped_vectors(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, ...]]:
-    """All per-group count tuples with sum <= cap_sum, lexicographic order.
+def _odometer(
+    caps: Sequence[int], cap_sum: int, moves: Sequence[Sequence[int]], start: Sequence[int]
+) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    """All per-group count tuples with sum <= cap_sum, lexicographic order, each
+    with its totals ``start + sum(count_i * moves[i])`` as a fresh list.
 
-    An odometer with the first group most significant: each step bumps
-    the last entry that can still grow and zeroes the entries after it.
+    An odometer with the first group most significant: each step bumps the
+    last entry that can still grow, adding its move to the totals, and zeroes
+    the entries after it, subtracting ``c * move`` for each one that held ``c``.
     """
     vec = [0] * len(caps)
+    totals = list(start)
     room = cap_sum
     while True:
-        yield tuple(vec)
+        yield tuple(vec), totals
         i = len(vec) - 1
         while i >= 0 and (not room or vec[i] == caps[i]):
-            room += vec[i]
-            vec[i] = 0
+            held, vec[i] = vec[i], 0
+            if held:
+                room += held
+                totals = [t - held * s for t, s in zip(totals, moves[i])]
             i -= 1
         if i < 0:
             return
         vec[i] += 1
         room -= 1
+        totals = [t + s for t, s in zip(totals, moves[i])]
+
+
+def _capped_vectors(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, ...]]:
+    """The odometer's count tuples alone (zero-width moves)."""
+    return (vec for vec, _ in _odometer(caps, cap_sum, [()] * len(caps), ()))
 
 
 def _count_capped_vectors(caps: Sequence[int], cap_sum: int) -> int:
@@ -320,6 +335,12 @@ def _scan(actions: Iterable, evaluate: Callable, budget: int | None) -> ControlO
         if evaluate(action):
             return ControlOutcome(True, action, explored)
     return ControlOutcome(False, None, explored)
+
+
+def _scan_counts(actions: Iterable, evaluate: Callable, budget: int | None) -> ControlOutcome:
+    """``_scan`` over an odometer's ``(counts, totals)`` pairs; the witness is the counts."""
+    out = _scan(actions, evaluate, budget)
+    return ControlOutcome(out.decision, out.witness[0] if out.decision else None, out.explored)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +419,11 @@ def _solve_voter_count(
         moves = [tuple(-s for s in row) for row in rows[:voters]]
     wanted = 1 << base.index(instance.distinguished)
 
-    def evaluate(counts: tuple[int, ...]) -> bool:
-        return _goal_met(instance.goal, wanted, _top(weighted_sums(moves, counts, totals)))
+    def evaluate(action: tuple) -> bool:
+        return _goal_met(instance.goal, wanted, _top(action[1]))
 
-    return _scan(_capped_vectors(_voter_caps(instance), instance.limit), evaluate, budget)
+    actions = _odometer(_voter_caps(instance), instance.limit, moves, totals)
+    return _scan_counts(actions, evaluate, budget)
 
 
 def _solve_candidate_partition(
@@ -453,15 +475,15 @@ def solve_partition_voters(
     wanted = 1 << base.index(instance.distinguished)
     winners = _subset_winners(base, instance.system)
 
-    def evaluate(split: tuple[int, ...]) -> bool:
-        first = weighted_sums(rows, split, zeros)
+    def evaluate(action: tuple) -> bool:
+        first = action[1]
         second = [f - s for f, s in zip(full, first)]
         d1 = _survivors(_top(first), instance.tie_model)
         d2 = _survivors(_top(second), instance.tie_model)
         return _goal_met(instance.goal, wanted, winners(d1 | d2))
 
-    actions = itertools.product(*(range(m + 1) for m in mults))
-    return _scan(actions, evaluate, budget)
+    # cap_sum = sum(mults) admits every split vector: the full box, lexicographically
+    return _scan_counts(_odometer(mults, sum(mults), rows, zeros), evaluate, budget)
 
 
 # one solver per action shape; each reads its family from the instance

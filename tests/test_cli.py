@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from rangecontrol import control
 from rangecontrol.cli import run_cli
 
 SHIFTY_FILE = """\
@@ -29,6 +30,18 @@ limit: 1
 spoilers: d
 """
 
+# 40 tied candidates: a 2^40-action partition search that never succeeds
+WIDE_PARTITION_FILE = f"""\
+range: 1
+candidates: {" ".join(f"c{i}" for i in range(39))} w
+ballots:
+1 | {" ".join(["1"] * 40)}
+action: partition-candidates
+goal: constructive
+ties: eliminate
+distinguished: w
+"""
+
 
 def cli(*argv):
     out, err = io.StringIO(), io.StringIO()
@@ -47,6 +60,13 @@ def shifty_path(tmp_path):
 def destructive_add_path(tmp_path):
     path = tmp_path / "destructive-add.txt"
     path.write_text(DESTRUCTIVE_ADD_FILE)
+    return str(path)
+
+
+@pytest.fixture
+def wide_partition_path(tmp_path):
+    path = tmp_path / "wide-partition.txt"
+    path.write_text(WIDE_PARTITION_FILE)
     return str(path)
 
 
@@ -107,6 +127,22 @@ class TestControl:
     def test_zero_budget_stays_valid(self, destructive_add_path):
         code, out, _ = cli("control", "--budget", "0", destructive_add_path)
         assert code == 3 and out == "BUDGET-EXCEEDED\nexplored: 0\n"
+
+    def test_unbudgeted_search_above_the_space_limit_is_refused(
+        self, wide_partition_path, monkeypatch
+    ):
+        def never(*args, **kwargs):
+            raise AssertionError("the search was started")
+
+        monkeypatch.setattr(control, "solve", never)
+        code, out, err = cli("control", wide_partition_path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search space of 1099511627776 actions exceeds")
+        assert "--budget" in err
+
+    def test_budget_lifts_the_space_limit(self, wide_partition_path):
+        code, out, _ = cli("control", "--budget", "10", wide_partition_path)
+        assert code == 3 and out == "BUDGET-EXCEEDED\nexplored: 10\n"
 
     def test_byte_identical_across_runs_and_workers(self, destructive_add_path):
         outputs = set()

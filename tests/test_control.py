@@ -3,6 +3,7 @@
 import gc
 import hashlib
 import itertools
+import random
 import weakref
 from dataclasses import replace
 
@@ -40,9 +41,10 @@ from rangecontrol.control import (
     subelection_survivors,
     _capped_vectors,
     _count_capped_vectors,
+    _odometer,
     _subset_winners,
 )
-from rangecontrol.elections import NRV, RV, BallotGroup, Election, project, tally
+from rangecontrol.elections import NRV, RV, BallotGroup, Election, project, tally, weighted_sums
 from rangecontrol.gadgets import (
     HittingSetInstance,
     gadget_hs_candidates,
@@ -472,6 +474,31 @@ class TestCappedVectors:
         out = solve(trailing)
         assert out.decision is False
         assert out.explored == 1 + len(vectors) == search_space(trailing)
+
+
+class TestOdometer:
+    @pytest.mark.parametrize("caps", [(), (0,), (0, 0), (2, 0, 3), (3, 1, 2), (1, 2, 0, 2, 1)])
+    def test_totals_follow_the_vectors(self, caps):
+        # moves of either sign: pool rows when adding voters, negated base rows when deleting
+        rng = random.Random(repr(caps))
+        for cap_sum in range(sum(caps) + 1):
+            moves = [[rng.randint(-5, 5) for _ in range(3)] for _ in caps]
+            start = [rng.randint(-20, 20) for _ in range(3)]
+            pairs = [(vec, list(totals)) for vec, totals in _odometer(caps, cap_sum, moves, start)]
+            box = itertools.product(*(range(c + 1) for c in caps))
+            assert [vec for vec, _ in pairs] == [v for v in box if sum(v) <= cap_sum]
+            assert [vec for vec, _ in pairs] == list(_capped_vectors(caps, cap_sum))
+            for vec, totals in pairs:
+                assert totals == weighted_sums(moves, vec, start)
+
+    def test_full_box_is_product_order(self):
+        # partition-voters scans split vectors with cap_sum = sum(mults)
+        caps = (2, 0, 3, 1)
+        rows = [(1, 0, 2), (0, 4, 1), (3, 3, 0), (0, 0, 5)]
+        pairs = [(vec, list(totals)) for vec, totals in _odometer(caps, sum(caps), rows, [0] * 3)]
+        assert [vec for vec, _ in pairs] == list(itertools.product(*(range(c + 1) for c in caps)))
+        for vec, totals in pairs:
+            assert totals == weighted_sums(rows, vec, [0] * 3)
 
 
 class TestPinnedOutputs:
