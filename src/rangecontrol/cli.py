@@ -93,6 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--exhaustive", metavar="BOUNDS",
                       help="e.g. 'n<=4,m=2..3,k<=2' (s=... bounds the x3c set count)")
     mode.add_argument("--random", type=int, metavar="TRIALS")
+    p_verify.add_argument("--bounds", metavar="BOUNDS",
+                          help="the bounds --random samples from, as for --exhaustive")
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--budget", type=int, default=None)
     p_verify.add_argument("--all-instances", action="store_true",
@@ -271,22 +273,20 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
     return out
 
 
+# bound variable -> AuditSpec field
+_BOUND_FIELDS = {"n": "n", "m": "m", "k": "k", "s": "sets"}
+
+
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
-    kwargs = {}
     if args.exhaustive is not None:
+        if args.bounds is not None:
+            raise ValueError("--bounds goes with --random; --exhaustive takes its bounds itself")
+        kwargs = {"mode": "exhaustive"}
         bounds = _parse_bounds(args.exhaustive)
-        kwargs["mode"] = "exhaustive"
-        if "n" in bounds:
-            kwargs["n"] = bounds["n"]
-        if "m" in bounds:
-            kwargs["m"] = bounds["m"]
-        if "k" in bounds:
-            kwargs["k"] = bounds["k"]
-        if "s" in bounds:
-            kwargs["sets"] = bounds["s"]
     else:
-        kwargs["mode"] = "random"
-        kwargs["trials"] = args.random
+        kwargs = {"mode": "random", "trials": args.random}
+        bounds = _parse_bounds(args.bounds or "")
+    kwargs.update((_BOUND_FIELDS[var], bound) for var, bound in bounds.items())
     spec = harness.AuditSpec(
         gadget=args.gadget,
         seed=args.seed,

@@ -21,11 +21,16 @@ Enumeration canon (fixes witnesses and explored counts):
 The first success in this order is the canonical witness.  Solvers
 evaluate actions one at a time, in a single thread, in this order.
 Voter scans update the integer totals as the entries of the count tuple
-change, rather than re-tallying every action.
+change, rather than re-tallying every action.  Every total is linear in
+the count tuple, so with its leading entries fixed, interval bounds on
+each candidate-pair margin over the free entries can prove that no
+completion succeeds; such a subtree is skipped and its size counted, so
+``explored`` and the witness are those of the plain scan.
 
-A node budget caps how many actions may be evaluated.  Hitting the
-budget with actions left yields ``decision=None`` ("budget exceeded"),
-which is distinct from a proven "no".
+A node budget is a position in canonical order: the scan stops with
+``decision=None`` ("budget exceeded", distinct from a proven "no")
+before the first action past it, whether that action would be evaluated
+or lies in a skipped subtree.
 """
 
 from __future__ import annotations
@@ -100,7 +105,6 @@ FAMILIES = (
     PARTITION_VOTERS,
 )
 _PARTITION_FAMILIES = (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES, PARTITION_VOTERS)
-_BUDGETED_FAMILIES = (ADD_CANDIDATES, DELETE_CANDIDATES, ADD_VOTERS, DELETE_VOTERS)
 
 CONSTRUCTIVE = "constructive"
 DESTRUCTIVE = "destructive"
@@ -188,8 +192,9 @@ class ControlOutcome:
     """Decision plus canonical witness.
 
     ``decision`` is ``True``/``False`` for a proven answer and ``None``
-    when the node budget ran out first.  ``explored`` counts actions in
-    canonical order: first-success index + 1 on yes, the full action
+    when the node budget ran out first.  ``explored`` is a position in
+    canonical order, counting the actions of skipped subtrees as well as
+    the evaluated ones: first-success index + 1 on yes, the full action
     count on no, exactly the budget when exceeded.
     """
 
@@ -276,22 +281,78 @@ def _count_subsets(domain_size: int, max_size: int) -> int:
     return sum(math.comb(domain_size, i) for i in range(min(max_size, domain_size) + 1))
 
 
+def _capped_counts(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, list[int]]]:
+    """The odometer's subtree sizes: one ``(lo, row)`` per level, from ``len(caps)`` down to 0.
+
+    The subtree at level ``d`` fixes entries ``0..d-1`` and leaves the rest
+    free under the room ``r`` that the fixed entries leave of ``cap_sum``;
+    ``row[min(r - lo, len(row) - 1)]`` counts its tuples.  A row covers the
+    rooms that its level can be reached with, ``r >= lo``, and ends where
+    ``r`` reaches the free entries' own cap sum, past which every tuple
+    fits.  Each row is a prefix-sum window over the one below it.
+    """
+    before = sum(caps)  # cap sum of the entries fixed above the level
+    lo, hi, row = 0, 0, [1]  # level len(caps): the empty tuple
+    yield lo, row
+    for cap in reversed(caps):
+        before -= cap
+        below_lo, below_hi, below = lo, hi, row
+        hi = min(cap_sum, below_hi + cap)
+        lo = min(max(0, cap_sum - before), hi)
+        first = max(0, lo - cap)
+        run = [0, *itertools.accumulate(below[min(s, below_hi) - below_lo] for s in range(first, hi + 1))]
+        row = [run[r + 1 - first] - run[max(first, r - cap) - first] for r in range(lo, hi + 1)]
+        yield lo, row
+
+
+def _count_capped_vectors(caps: Sequence[int], cap_sum: int) -> int:
+    """How many count tuples the odometer walks: the size of its level-0 subtree."""
+    for _, row in _capped_counts(caps, cap_sum):
+        pass
+    return row[-1]
+
+
 def _odometer(
-    caps: Sequence[int], cap_sum: int, moves: Sequence[Sequence[int]], start: Sequence[int]
-) -> Iterator[tuple[tuple[int, ...], list[int]]]:
+    caps: Sequence[int],
+    cap_sum: int,
+    moves: Sequence[Sequence[int]],
+    start: Sequence[int],
+    dead: Callable[[int, list[int], int], bool] | None = None,
+) -> Iterator[tuple]:
     """All per-group count tuples with sum <= cap_sum, lexicographic order, each
     with its totals ``start + sum(count_i * moves[i])`` as a fresh list.
 
     An odometer with the first group most significant: each step bumps the
     last entry that can still grow, adding its move to the totals, and zeroes
     the entries after it, subtracting ``c * move`` for each one that held ``c``.
+
+    A tuple whose entries from ``d`` on are zero is the first of the subtree
+    that fixes entries ``0..d-1``.  With ``dead``, each such subtree is put
+    to ``dead(d, totals, room)``, largest first, ``room`` being what the
+    fixed entries leave of ``cap_sum``; a subtree it proves holds no success
+    is yielded as ``(size, None)``, its number of tuples, and walked no further.
     """
-    vec = [0] * len(caps)
+    levels = len(caps)
+    sizes = list(_capped_counts(caps, cap_sum))[::-1] if dead else []
+    vec = [0] * levels
     totals = list(start)
     room = cap_sum
+    free = 0  # entries from `free` on are zero: vec starts a subtree at each level >= free
     while True:
-        yield tuple(vec), totals
-        i = len(vec) - 1
+        if dead:
+            while free < levels:
+                lo, row = sizes[free]
+                size = row[min(room - lo, len(row) - 1)]
+                if size > 1 and dead(free, totals, room):
+                    break
+                free += 1
+        else:
+            free = levels
+        if free < levels:
+            yield size, None
+        else:
+            yield tuple(vec), totals
+        i = free - 1
         while i >= 0 and (not room or vec[i] == caps[i]):
             held, vec[i] = vec[i], 0
             if held:
@@ -303,6 +364,7 @@ def _odometer(
         vec[i] += 1
         room -= 1
         totals = [t + s for t, s in zip(totals, moves[i])]
+        free = i + 1
 
 
 def _capped_vectors(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, ...]]:
@@ -310,36 +372,55 @@ def _capped_vectors(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, ..
     return (vec for vec, _ in _odometer(caps, cap_sum, [()] * len(caps), ()))
 
 
-def _count_capped_vectors(caps: Sequence[int], cap_sum: int) -> int:
-    counts = [1] + [0] * cap_sum  # counts[s] = #vectors so far with sum s
-    for cap in caps:
-        nxt = [0] * (cap_sum + 1)
-        for s, c in enumerate(counts):
-            if not c:
-                continue
-            for v in range(min(cap, cap_sum - s) + 1):
-                nxt[s + v] += c
-        counts = nxt
-    return sum(counts)
+def _suffix_falls(
+    caps: Sequence[int], deltas: Sequence[Sequence[int]], width: int
+) -> tuple[list[list[int]], list[list[int]]]:
+    """How far ``sum(v_l * deltas[l][j] for l >= d)`` can fall below 0, per level ``d``.
+
+    The first table bounds it with each ``v_l`` in ``[0, caps[l]]``, the
+    second per unit of ``sum(v_l)``: its most negative entry at or after ``d``.
+    """
+    by_caps, per_unit = [[0] * width], [[0] * width]
+    for cap, row in zip(reversed(caps), reversed(deltas)):
+        if cap:
+            by_caps.append([f + cap * min(0, x) for f, x in zip(by_caps[-1], row)])
+            per_unit.append([min(u, x) for u, x in zip(per_unit[-1], row)])
+        else:
+            by_caps.append(by_caps[-1])
+            per_unit.append(per_unit[-1])
+    return by_caps[::-1], per_unit[::-1]
 
 
 # ---------------------------------------------------------------------------
 # the generic canonical-order scanner
 
-def _scan(actions: Iterable, evaluate: Callable, budget: int | None) -> ControlOutcome:
+def _scan(steps: Iterable[tuple[int, object]], evaluate: Callable, budget: int | None) -> ControlOutcome:
+    """The first success in canonical order.
+
+    ``steps`` yields ``(1, action)`` for an action to evaluate and
+    ``(size, None)`` for a subtree of ``size`` actions proven to hold no
+    success, which counts toward ``explored`` unevaluated.  The budget is
+    a position in that order: a step that would pass it ends the scan.
+    """
     explored = 0
-    for action in actions:
-        if budget is not None and explored >= budget:
-            return ControlOutcome(None, None, explored)
-        explored += 1
-        if evaluate(action):
+    for size, action in steps:
+        if budget is not None and explored + size > budget:
+            return ControlOutcome(None, None, budget)
+        explored += size
+        if action is not None and evaluate(action):
             return ControlOutcome(True, action, explored)
     return ControlOutcome(False, None, explored)
 
 
-def _scan_counts(actions: Iterable, evaluate: Callable, budget: int | None) -> ControlOutcome:
-    """``_scan`` over an odometer's ``(counts, totals)`` pairs; the witness is the counts."""
-    out = _scan(actions, evaluate, budget)
+def _each(actions: Iterable) -> Iterator[tuple[int, object]]:
+    """Scan steps that evaluate every action."""
+    return zip(itertools.repeat(1), actions)
+
+
+def _scan_counts(walk: Iterable[tuple], evaluate: Callable, budget: int | None) -> ControlOutcome:
+    """``_scan`` over an odometer walk; the witness is the count tuple."""
+    steps = ((1, item) if item[1] is not None else (item[0], None) for item in walk)
+    out = _scan(steps, evaluate, budget)
     return ControlOutcome(out.decision, out.witness[0] if out.decision else None, out.explored)
 
 
@@ -388,7 +469,8 @@ def _solve_candidate_subset(
     def evaluate(chosen: tuple[str, ...]) -> bool:
         return _goal_met(instance.goal, wanted, winners(registered ^ _mask_of(base.candidates, chosen)))
 
-    return _scan(_subsets_by_size(_candidate_domain(instance), instance.limit), evaluate, budget)
+    actions = _subsets_by_size(_candidate_domain(instance), instance.limit)
+    return _scan(_each(actions), evaluate, budget)
 
 
 def _voter_rows(
@@ -406,7 +488,8 @@ def _solve_voter_count(
 
     Partial multiplicities are allowed: an action takes or removes
     ``j_i`` voters of group ``i``.  Each move adds a pool row to the
-    base totals, or subtracts a base row from them.
+    base totals, or subtracts a base row from them.  A subtree of the
+    scan is skipped once the moves left to it cannot change the verdict.
     """
     _require(instance, ADD_VOTERS, DELETE_VOTERS)
     base = instance.base
@@ -417,12 +500,29 @@ def _solve_voter_count(
         moves = rows[voters:]
     else:
         moves = [tuple(-s for s in row) for row in rows[:voters]]
-    wanted = 1 << base.index(instance.distinguished)
+    w = base.index(instance.distinguished)
+    wanted = 1 << w
+    caps = _voter_caps(instance)
+    rivals = [c for c in range(len(base.candidates)) if c != w]
+    # a subtree is dead when some rival's lead over w never falls below 0
+    # (constructive) or w's lead over every rival never falls to 0 (destructive)
+    sign = 1 if instance.goal == DESTRUCTIVE else -1
+    lead_moves = [[sign * (move[w] - move[c]) for c in rivals] for move in moves]
+    falls, unit_falls = _suffix_falls(caps, lead_moves, len(rivals))
+
+    def dead(level: int, totals: list[int], room: int) -> bool:
+        lows = (
+            sign * (totals[w] - totals[c]) + max(fall, room * unit)
+            for c, fall, unit in zip(rivals, falls[level], unit_falls[level])
+        )
+        if instance.goal == CONSTRUCTIVE:
+            return any(low >= 0 for low in lows)
+        return all(low > 0 for low in lows)
 
     def evaluate(action: tuple) -> bool:
         return _goal_met(instance.goal, wanted, _top(action[1]))
 
-    actions = _odometer(_voter_caps(instance), instance.limit, moves, totals)
+    actions = _odometer(caps, instance.limit, moves, totals, dead)
     return _scan_counts(actions, evaluate, budget)
 
 
@@ -449,7 +549,7 @@ def _solve_candidate_partition(
             second = _survivors(winners(second), instance.tie_model)
         return _goal_met(instance.goal, wanted, winners(first | second))
 
-    outcome = _scan(range(everyone + 1), evaluate, budget)
+    outcome = _scan(_each(range(everyone + 1)), evaluate, budget)
     if not outcome.decision:
         return outcome
     first = tuple(c for i, c in enumerate(base.candidates) if outcome.witness >> i & 1)
@@ -465,7 +565,8 @@ def solve_partition_voters(
     group ``i`` into the first subelection, the rest into the second.
     By multiplicity linearity this covers every voter partition.  Both
     subelections use the full candidate set; the survivors' union faces
-    the full voter set in the final round.
+    the full voter set in the final round.  A subtree of the scan is
+    skipped once every pair of survivor sets its sides can reach fails.
     """
     _require(instance, PARTITION_VOTERS)
     base = instance.base
@@ -474,6 +575,31 @@ def solve_partition_voters(
     full = weighted_sums(rows, mults, zeros)
     wanted = 1 << base.index(instance.distinguished)
     winners = _subset_winners(base, instance.system)
+    n = len(base.candidates)
+    # falls[d][a * n + c]: how far the first side's t_a - t_c can fall over a
+    # subtree at level d; the second side's falls as far as the first's t_c - t_a rises
+    pairs = [(a, c) for a in range(n) for c in range(n)]
+    falls, _ = _suffix_falls(mults, [[row[a] - row[c] for a, c in pairs] for row in rows], n * n)
+    rises = [[level[c * n + a] for a, c in pairs] for level in falls]
+
+    def dead(level: int, first: list[int], room: int) -> bool:
+        lead1 = _lone_leader(first, falls[level])
+        if not lead1 and instance.tie_model == TIES_PROMOTE:
+            return False  # a side without a sure lone winner may promote any tie
+        second = [f - s for f, s in zip(full, first)]
+        lead2 = _lone_leader(second, rises[level])
+        if lead1 and lead2:
+            finalists = [lead1 | lead2]
+        elif instance.tie_model == TIES_PROMOTE:
+            return False
+        elif not lead1 and not lead2 and instance.goal == DESTRUCTIVE:
+            return False  # both sides may tie, leaving no finalist and so no winner
+        else:
+            # ties-eliminate: a side's survivors are its sure leader, else nobody or a possible lone top
+            d1 = (lead1,) if lead1 else (0, *_possible_lone_tops(first, falls[level]))
+            d2 = (lead2,) if lead2 else (0, *_possible_lone_tops(second, rises[level]))
+            finalists = [a | b for a in d1 for b in d2]
+        return not any(_goal_met(instance.goal, wanted, winners(mask)) for mask in finalists)
 
     def evaluate(action: tuple) -> bool:
         first = action[1]
@@ -483,7 +609,32 @@ def solve_partition_voters(
         return _goal_met(instance.goal, wanted, winners(d1 | d2))
 
     # cap_sum = sum(mults) admits every split vector: the full box, lexicographically
-    return _scan_counts(_odometer(mults, sum(mults), rows, zeros), evaluate, budget)
+    return _scan_counts(_odometer(mults, sum(mults), rows, zeros, dead), evaluate, budget)
+
+
+def _lone_leader(totals: list[int], falls: list[int]) -> int:
+    """The bitmask of the candidate that tops one side alone throughout a subtree, else 0.
+
+    ``totals`` are the side's totals at the subtree's first action and
+    ``falls[a * n + c]`` how far ``t_a - t_c`` can fall from them.
+    """
+    n = len(totals)
+    top = _top(totals)
+    a = top.bit_length() - 1
+    if top == 1 << a and all(totals[a] - totals[c] + falls[a * n + c] > 0 for c in range(n) if c != a):
+        return top
+    return 0
+
+
+def _possible_lone_tops(totals: list[int], falls: list[int]) -> list[int]:
+    """Bitmasks of the candidates that may still top one side alone somewhere in a subtree."""
+    n = len(totals)
+    a = totals.index(max(totals))  # the leader rules out most candidates, so it is tried first
+    return [
+        1 << b for b in range(n)
+        if (b == a or totals[b] - totals[a] > falls[a * n + b])
+        and all(totals[b] - totals[c] - falls[c * n + b] > 0 for c in range(n) if c != b)
+    ]
 
 
 # one solver per action shape; each reads its family from the instance

@@ -18,6 +18,7 @@ from rangecontrol.control import (
     DELETE_CANDIDATES,
     DELETE_VOTERS,
     PARTITION_CANDIDATES,
+    PARTITION_VOTERS,
     RUNOFF_PARTITION_CANDIDATES,
     ControlInstance,
 )
@@ -161,6 +162,54 @@ def brute_control(instance: ControlInstance) -> bool:
         if _goal(instance, winner):
             return True
     return False
+
+
+def _voter_action_met(instance: ControlInstance, counts: tuple[int, ...]) -> bool:
+    """Whether one voter action (take, remove or split counts per group) meets the goal,
+    judged on expanded voter lists."""
+    base = instance.base
+    system = instance.system
+    if instance.family == ADD_VOTERS:
+        voters = _expand_voters(base)
+        for take, g in zip(counts, instance.pool):
+            voters.extend([g.scores] * take)
+        return _goal(instance, brute_unique_winner(_with_voters(base, voters), system))
+    kept, first = [], []
+    for n, g in zip(counts, base.ballots):
+        first.extend([g.scores] * n)
+        kept.extend([g.scores] * (g.multiplicity - n))
+    if instance.family == DELETE_VOTERS:
+        return _goal(instance, brute_unique_winner(_with_voters(base, kept), system))
+    d1 = _survivors(_with_voters(base, first), system, instance.tie_model)
+    d2 = _survivors(_with_voters(base, kept), system, instance.tie_model)
+    return _goal(instance, brute_unique_winner(_sub(base, set(d1) | set(d2)), system))
+
+
+def reference_scan(instance: ControlInstance, budget: int | None = None):
+    """``(decision, witness, explored)`` of a voter-family solve by a plain walk.
+
+    Every count tuple is judged, in canonical order (``itertools.product``
+    order, skipping tuples over the limit), with nothing pruned; the budget
+    stops the walk before an action once ``budget`` actions were judged.
+    """
+    if instance.family == ADD_VOTERS:
+        caps, cap_sum = [g.multiplicity for g in instance.pool], instance.limit
+    elif instance.family == DELETE_VOTERS:
+        caps, cap_sum = [g.multiplicity for g in instance.base.ballots], instance.limit
+    else:
+        assert instance.family == PARTITION_VOTERS
+        caps = [g.multiplicity for g in instance.base.ballots]
+        cap_sum = sum(caps)
+    explored = 0
+    for counts in itertools.product(*(range(cap + 1) for cap in caps)):
+        if sum(counts) > cap_sum:
+            continue
+        if budget is not None and explored >= budget:
+            return None, None, explored
+        explored += 1
+        if _voter_action_met(instance, counts):
+            return True, counts, explored
+    return False, None, explored
 
 
 def brute_hitting_set(universe, sets, k) -> bool:

@@ -292,6 +292,24 @@ class TestVerify:
                            "--exhaustive", "k=1,s<=2", "--budget", "0")
         assert code == 0 and "budget-exceeded: 0 1" in out
 
+    def test_random_samples_within_bounds(self):
+        # the restricted hitting sets of this gadget need n >= 6, above the default n<=3
+        code, out, err = cli("verify", "--gadget", "rhs-voter-partition-tp", "--random", "2",
+                             "--bounds", "n=6..7,m<=2,k=1", "--seed", "3")
+        assert (code, err) == (0, "")
+        assert "n: 6..7\nm: 1..2\nk: 1..1\n" in out
+        assert "instances: 2\nagreement: true\n" in out
+
+    @pytest.mark.parametrize("args", [
+        ("--random", "2", "--bounds", "q<=4"),
+        ("--random", "2", "--bounds", "n=3..1"),
+        ("--exhaustive", "n<=2", "--bounds", "n=2"),
+    ], ids=["unknown-variable", "reversed-range", "with-exhaustive"])
+    def test_bad_random_bounds_are_usage_errors(self, args):
+        code, out, err = cli("verify", "--gadget", "hs-candidates", *args)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:")
+
 
 class TestTableAndUsage:
     def test_table_lists_systems(self):

@@ -3,7 +3,9 @@
 import gc
 import hashlib
 import itertools
+import math
 import random
+import time
 import weakref
 from dataclasses import replace
 
@@ -39,20 +41,24 @@ from rangecontrol.control import (
     solve_partition_voters,
     solve_runoff_partition_candidates,
     subelection_survivors,
+    _capped_counts,
     _capped_vectors,
     _count_capped_vectors,
     _odometer,
     _subset_winners,
 )
 from rangecontrol.elections import NRV, RV, BallotGroup, Election, project, tally, weighted_sums
+from rangecontrol import control
 from rangecontrol.gadgets import (
     HittingSetInstance,
+    X3CInstance,
     gadget_hs_candidates,
     gadget_hs_destructive_candidate_partition,
+    gadget_x3c_voter_partition_te,
 )
 from rangecontrol.harness import gen_random_control_instance, gen_random_election
 
-from helpers import brute_control
+from helpers import brute_control, reference_scan
 
 
 def election(k, cands, rows):
@@ -476,6 +482,33 @@ class TestCappedVectors:
         assert out.explored == 1 + len(vectors) == search_space(trailing)
 
 
+class TestCappedCounts:
+    CAPS = [(), (0,), (3,), (0, 2), (2, 0, 3), (1, 1, 1, 1), (3, 1, 2), (1, 2, 0, 2, 1)]
+
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_count_matches_the_vectors(self, caps):
+        for cap_sum in range(sum(caps) + 3):
+            assert _count_capped_vectors(caps, cap_sum) == len(list(_capped_vectors(caps, cap_sum)))
+
+    @pytest.mark.parametrize("caps", CAPS)
+    def test_every_subtree_size(self, caps):
+        # level d with room r: the tuples over caps[d:] with sum <= r, for every
+        # room that fixing entries 0..d-1 can leave
+        for cap_sum in range(sum(caps) + 3):
+            rows = list(_capped_counts(caps, cap_sum))[::-1]
+            assert len(rows) == len(caps) + 1
+            for d, (lo, row) in enumerate(rows):
+                for room in range(max(0, cap_sum - sum(caps[:d])), cap_sum + 1):
+                    size = len(list(_capped_vectors(caps[d:], room)))
+                    assert row[min(room - lo, len(row) - 1)] == size, (cap_sum, d, room)
+
+    def test_large_caps_count_quickly(self):
+        start = time.perf_counter()
+        count = _count_capped_vectors([4000] * 4, 4000)
+        assert time.perf_counter() - start < 0.5
+        assert count == math.comb(4004, 4)  # no single entry can exceed the limit
+
+
 class TestOdometer:
     @pytest.mark.parametrize("caps", [(), (0,), (0, 0), (2, 0, 3), (3, 1, 2), (1, 2, 0, 2, 1)])
     def test_totals_follow_the_vectors(self, caps):
@@ -499,6 +532,111 @@ class TestOdometer:
         assert [vec for vec, _ in pairs] == list(itertools.product(*(range(c + 1) for c in caps)))
         for vec, totals in pairs:
             assert totals == weighted_sums(rows, vec, [0] * 3)
+
+
+def count_evaluations(monkeypatch) -> list[int]:
+    """Make every later scan count the actions it evaluates into the returned cell."""
+    evaluated = [0]
+    scan = control._scan
+
+    def counting_scan(steps, evaluate, budget):
+        def counted(action):
+            evaluated[0] += 1
+            return evaluate(action)
+        return scan(steps, counted, budget)
+
+    monkeypatch.setattr(control, "_scan", counting_scan)
+    return evaluated
+
+
+def random_voter_instance(seed: int) -> ControlInstance:
+    """A voter-family instance of at most a few hundred actions.  On odd seeds the
+    ballots lean towards some candidates, so that whole subtrees of the scan are
+    often dead; on even seeds they do not, so that ties are common."""
+    rng = random.Random(seed)
+    k = rng.randint(1, 3)
+    cands = ("a", "b", "w", "x")[: rng.randint(2, 4)]
+    lean = [rng.randint(-k, k) if seed % 2 else 0 for _ in cands]
+
+    def ballot():
+        return tuple(min(k, max(0, rng.randint(0, k) + bias)) for bias in lean)
+
+    while True:
+        family = rng.choice((ADD_VOTERS, DELETE_VOTERS, PARTITION_VOTERS))
+        rows = [(rng.randint(1, 3), ballot()) for _ in range(rng.randint(1, 5))]
+        kwargs = {"limit": rng.randint(1, 4)}
+        if family == ADD_VOTERS:
+            kwargs["pool"] = tuple(BallotGroup(ballot(), rng.randint(1, 3))
+                                   for _ in range(rng.randint(0, 4)))
+        if family == PARTITION_VOTERS:
+            kwargs = {"tie_model": TIES_PROMOTE}
+            rows = rows[:4]
+        inst = ControlInstance(base=election(k, cands, rows), family=family, goal=CONSTRUCTIVE,
+                               system=RV, distinguished=rng.choice(cands), **kwargs)
+        if search_space(inst) <= 400:
+            return inst
+
+
+class TestPrunedScan:
+    EDGE_CASES = (
+        # over the splits (0, *), w leads the second side until x ties it at (0, 2), the
+        # witness; a sure-leader bound that let w's lead fall to 0 would skip that subtree
+        ControlInstance(
+            base=election(1, ("a", "w", "x"), [(2, (1, 1, 0)), (1, (0, 1, 1))]),
+            family=PARTITION_VOTERS, goal=DESTRUCTIVE, system=RV, distinguished="w",
+            tie_model=TIES_ELIMINATE,
+        ),
+        # the witness (0, 1) leaves a and x tied on the second side, so w, the first
+        # side's winner, is the only finalist; a bound that forgot ties would skip it
+        ControlInstance(
+            base=election(2, ("a", "w", "x"), [(3, (1, 0, 1)), (2, (1, 2, 1))]),
+            family=PARTITION_VOTERS, goal=CONSTRUCTIVE, system=RV, distinguished="w",
+            tie_model=TIES_ELIMINATE,
+        ),
+    )
+
+    def test_matches_the_unpruned_reference(self, monkeypatch):
+        evaluated = count_evaluations(monkeypatch)
+        explored = 0
+        instances = [random_voter_instance(seed) for seed in range(60)]
+        for inst in instances + list(self.EDGE_CASES):
+            ties = (TIES_PROMOTE, TIES_ELIMINATE) if inst.family == PARTITION_VOTERS else (None,)
+            for goal, system, tie_model in itertools.product(
+                (CONSTRUCTIVE, DESTRUCTIVE), (RV, NRV), ties
+            ):
+                variant = replace(inst, goal=goal, system=system, tie_model=tie_model)
+                full = reference_scan(variant)
+                space = full[2]
+                for budget in (None, 0, 1, space - 1, space, space // 2):
+                    if budget is not None and budget < 0:
+                        continue
+                    expected = reference_scan(variant, budget)
+                    before = evaluated[0]
+                    out = solve(variant, budget=budget)
+                    assert (out.decision, out.witness, out.explored) == expected, (seed, variant, budget)
+                    assert evaluated[0] - before <= out.explored
+                    explored += out.explored
+        # whole subtrees were skipped, not only single actions
+        assert evaluated[0] < explored // 2
+
+    def test_dead_subtrees_are_counted_but_not_evaluated(self, monkeypatch):
+        evaluated = count_evaluations(monkeypatch)
+        # no two of these triples are disjoint, so there is no exact cover
+        x3c = X3CInstance(("b1", "b2", "b3", "b4", "b5", "b6"),
+                          (("b1", "b2", "b3"), ("b1", "b4", "b5"), ("b2", "b4", "b6")))
+        (partition,) = gadget_x3c_voter_partition_te(x3c).instances
+        # every ballot scores s above w, so w never tops the election alone
+        dominated = ControlInstance(
+            base=election(4, ("s", "w", "c"), [(3, (4, 3, 0)), (2, (4, 0, 1))]),
+            family=ADD_VOTERS, goal=CONSTRUCTIVE, system=NRV, distinguished="w", limit=6,
+            pool=(BallotGroup((4, 3, 2), 4), BallotGroup((3, 2, 0), 5), BallotGroup((2, 1, 0), 3)),
+        )
+        for inst, share in ((partition, 4), (dominated, 100)):
+            evaluated[0] = 0
+            out = solve(inst)
+            assert out.decision is False
+            assert out.explored == search_space(inst)
+            assert evaluated[0] * share < out.explored, (evaluated[0], out.explored)
 
 
 class TestPinnedOutputs:
