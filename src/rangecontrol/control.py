@@ -382,12 +382,8 @@ def _suffix_falls(
     """
     by_caps, per_unit = [[0] * width], [[0] * width]
     for cap, row in zip(reversed(caps), reversed(deltas)):
-        if cap:
-            by_caps.append([f + cap * min(0, x) for f, x in zip(by_caps[-1], row)])
-            per_unit.append([min(u, x) for u, x in zip(per_unit[-1], row)])
-        else:
-            by_caps.append(by_caps[-1])
-            per_unit.append(per_unit[-1])
+        by_caps.append([f + cap * min(0, x) for f, x in zip(by_caps[-1], row)])
+        per_unit.append([min(u, x) for u, x in zip(per_unit[-1], row)] if cap else per_unit[-1])
     return by_caps[::-1], per_unit[::-1]
 
 
@@ -629,11 +625,9 @@ def _lone_leader(totals: list[int], falls: list[int]) -> int:
 def _possible_lone_tops(totals: list[int], falls: list[int]) -> list[int]:
     """Bitmasks of the candidates that may still top one side alone somewhere in a subtree."""
     n = len(totals)
-    a = totals.index(max(totals))  # the leader rules out most candidates, so it is tried first
     return [
         1 << b for b in range(n)
-        if (b == a or totals[b] - totals[a] > falls[a * n + b])
-        and all(totals[b] - totals[c] - falls[c * n + b] > 0 for c in range(n) if c != b)
+        if all(totals[b] - totals[c] - falls[c * n + b] > 0 for c in range(n) if c != b)
     ]
 
 
