@@ -159,6 +159,21 @@ def _cmd_tally(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+def _refuse_huge_search(instance: ctl.ControlInstance) -> None:
+    """Refuse a search above ``MAX_UNBUDGETED_SPACE``, trying the cheap lower bound first."""
+    floor = ctl.search_space_floor(instance)
+    exact = floor is None or floor <= MAX_UNBUDGETED_SPACE
+    space = ctl.search_space(instance) if exact else floor
+    if space <= MAX_UNBUDGETED_SPACE:
+        return
+    if space.bit_length() > 256:  # too long to print, and str() stops at 4,300 digits
+        size = f"at least 2^{space.bit_length() - 1}"
+    else:
+        size = str(space) if exact else f"at least {space}"
+    raise ValueError(f"search space of {size} actions exceeds {MAX_UNBUDGETED_SPACE} "
+                     "without a budget; pass --budget N to search it anyway")
+
+
 def _cmd_control(args: argparse.Namespace, out: TextIO) -> int:
     parsed = fileio.parse_election(_read(args.file))
     if parsed.instance is None:
@@ -166,9 +181,8 @@ def _cmd_control(args: argparse.Namespace, out: TextIO) -> int:
     instance = parsed.instance
     if args.system is not None and args.system != instance.system:
         instance = replace(instance, system=args.system)
-    if args.budget is None and (space := ctl.search_space(instance)) > MAX_UNBUDGETED_SPACE:
-        raise ValueError(f"search space of {space} actions exceeds {MAX_UNBUDGETED_SPACE} "
-                         "without a budget; pass --budget N to search it anyway")
+    if args.budget is None:
+        _refuse_huge_search(instance)
     outcome = ctl.solve(instance, budget=args.budget, workers=args.workers)
     if outcome.decision is None:
         print("BUDGET-EXCEEDED", file=out)

@@ -20,6 +20,11 @@ Enumeration canon (fixes witnesses and explored counts):
 
 The first success in this order is the canonical witness.  Solvers
 evaluate actions one at a time, in a single thread, in this order.
+Candidate-set subelections are decided from the base ballots' columns,
+never by projecting ballots.  Under ``nrv`` their totals drop the factor
+``k`` and each ballot's offset ``-lo`` from the :func:`integer_rows`
+totals; that scales and shifts every kept candidate's total alike, so
+the winners are exactly those of a tally.
 Voter scans update the integer totals as the entries of the count tuple
 change, rather than re-tallying every action.  Every total is linear in
 the count tuple, so with its leading entries fixed, interval bounds on
@@ -37,6 +42,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -83,6 +89,7 @@ __all__ = [
     "solve_partition_voters",
     "replay_witness",
     "search_space",
+    "search_space_floor",
     "scale_instance",
     "describe",
 ]
@@ -244,22 +251,61 @@ def _survivors(winners: int, tie_model: str) -> int:
 def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
     """Winner bitmask of the subelection of ``base`` over the candidates in a bitmask.
 
-    Each candidate set is tallied once, on the base ballots' columns, and
-    memoized for as long as the returned function lives (one solve call).
+    No mask projects ballots or builds rows: each is decided on the base
+    ballots' candidate columns and memoized for as long as the returned
+    function lives (one solve call).  Under ``rv`` a candidate's total does
+    not depend on who else stands, so the full totals are summed once.
+    Under ``nrv`` a group's ``lo`` and ``hi`` over the mask are the first
+    and last of its score values whose candidate bitmask meets the mask;
+    the group weighs ``mult * (L // span)``, ``L`` being the lcm of the
+    nonzero spans, or 0 for a zero span.  A kept candidate's total is then
+    its :func:`integer_rows` total without the factor ``k`` and without
+    ``-lo`` in each row: that scales every kept total by the same ``k`` and
+    shifts it by the same ``sum(weight * lo)``, so the argmax is exact.
     """
-    vectors = [g.scores for g in base.ballots]
-    mults = [g.multiplicity for g in base.ballots]
+    groups = base.ballots
+    mults = [g.multiplicity for g in groups]
     positions = range(len(base.candidates))
+    columns = [[g.scores[c] for g in groups] for c in positions]
     cache: dict[int, int] = {}
+
+    if system == RV:
+        full = [sum(map(operator.mul, mults, column)) for column in columns]
+
+        def totals(keep: list[int], mask: int) -> list[int]:
+            return [full[c] for c in keep]
+    else:
+        # per group, (score, bitmask of the candidates given it) by ascending
+        # score, and the same pairs by descending score
+        levels = []
+        for g in groups:
+            bits: dict[int, int] = {}
+            for c, s in enumerate(g.scores):
+                bits[s] = bits.get(s, 0) | 1 << c
+            up = sorted(bits.items())
+            levels.append((up, up[::-1]))
+
+        def totals(keep: list[int], mask: int) -> list[int]:
+            spans = []
+            for up, down in levels:
+                for lo, b in up:
+                    if b & mask:
+                        break
+                for hi, b in down:
+                    if b & mask:
+                        break
+                spans.append(hi - lo)
+            scale = math.lcm(*filter(None, spans))
+            weights = [m * (scale // span) if span else 0 for m, span in zip(mults, spans)]
+            return [sum(map(operator.mul, weights, columns[c])) for c in keep]
 
     def winners(mask: int) -> int:
         found = cache.get(mask)
         if found is None:
-            keep = [i for i in positions if mask >> i & 1]
-            rows, _ = integer_rows([[v[i] for i in keep] for v in vectors], base.k, system)
-            totals = weighted_sums(rows, mults, [0] * len(keep))
-            best = max(totals, default=None)
-            found = cache[mask] = sum(1 << c for c, t in zip(keep, totals) if t == best)
+            keep = [c for c in positions if mask >> c & 1]
+            sums = totals(keep, mask) if keep else []
+            best = max(sums, default=None)
+            found = cache[mask] = sum(1 << c for c, t in zip(keep, sums) if t == best)
         return found
 
     return winners
@@ -669,6 +715,23 @@ def search_space(instance: ControlInstance) -> int:
     if instance.family in (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES):
         return 1 << len(instance.base.candidates)
     return math.prod(g.multiplicity + 1 for g in instance.base.ballots)
+
+
+def search_space_floor(instance: ControlInstance) -> int | None:
+    """A lower bound on :func:`search_space` for add/delete-voters, in O(groups) steps.
+
+    With ``u = min(groups, limit)``, every count tuple whose first ``u``
+    entries are each at most ``limit // u`` and whose other entries are 0
+    stays within the limit, so their number bounds the exact count, which
+    takes O(groups x limit) steps.  ``None`` for the other families, whose
+    exact count is already that cheap.
+    """
+    if instance.family not in (ADD_VOTERS, DELETE_VOTERS):
+        return None
+    caps = _voter_caps(instance)
+    used = min(len(caps), instance.limit)
+    share = instance.limit // max(used, 1)
+    return math.prod(min(cap, share) + 1 for cap in caps[:used])
 
 
 def replay_witness(instance: ControlInstance, witness: tuple) -> bool:

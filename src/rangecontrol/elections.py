@@ -16,7 +16,11 @@ ballot on one integer scale ``L`` (1 under ``rv``; under ``nrv`` the lcm
 of the ballots' score spans), so totals are integer sums and winners
 follow from integer comparison.  :func:`tally` returns each total as the
 exact ``Fraction(v, L)``; :func:`normalize_ballot` remains the reference
-definition of a normalized ballot.
+definition of a normalized ballot.  The ``nrv`` scale rule (``L``, and
+the factor ``k * (L // span)`` applied to ``s - lo``) is stated once, in
+:func:`integer_rows`; ``control._subset_winners`` decides candidate-set
+subelections with the same weights less the factor ``k`` and the offset
+``-lo``, which shift or scale every total alike.
 
 Values are immutable after construction and safe to share across threads;
 every operation here is a pure function.

@@ -402,16 +402,32 @@ def exhaustive_x3c_instances(
 # ---------------------------------------------------------------------------
 # identity evaluation
 
+# subelection totals by (voter_counts, candidates), for identities over one election
+_Tallies = dict[tuple, dict[str, Fraction]]
+
+
 def evaluate_identity(
-    election: Election, system: str, identity: ScoreIdentity
+    election: Election,
+    system: str,
+    identity: ScoreIdentity,
+    tallies: _Tallies | None = None,
 ) -> IdentityResult:
-    """Evaluate one score assertion by exact tally of the named subelection."""
-    sub = election
-    if identity.voter_counts is not None:
-        sub = take_voters(sub, identity.voter_counts)
-    if identity.candidates is not None:
-        sub = project(sub, identity.candidates)
-    totals = tally(sub, system).totals
+    """Evaluate one score assertion by exact tally of the named subelection.
+
+    ``tallies`` memoizes the totals by ``(voter_counts, candidates)``;
+    share one only among identities over the same election and system.
+    """
+    if tallies is None:
+        tallies = {}
+    key = (identity.voter_counts, identity.candidates)
+    totals = tallies.get(key)
+    if totals is None:
+        sub = election
+        if identity.voter_counts is not None:
+            sub = take_voters(sub, identity.voter_counts)
+        if identity.candidates is not None:
+            sub = project(sub, identity.candidates)
+        totals = tallies[key] = tally(sub, system).totals
     value = totals[identity.candidate]
     for other in identity.subtract:
         value -= totals[other]
@@ -428,10 +444,15 @@ def evaluate_identity(
     )
 
 
-def check_score_identities(gadget: GadgetOutput) -> tuple[IdentityResult, ...]:
-    """Evaluate every attached assertion on the constructed election."""
+def check_score_identities(
+    gadget: GadgetOutput, tallies: _Tallies | None = None
+) -> tuple[IdentityResult, ...]:
+    """Evaluate every attached assertion on the constructed election, each
+    distinct subelection tallied once (``tallies`` as in :func:`evaluate_identity`)."""
+    if tallies is None:
+        tallies = {}
     return tuple(
-        evaluate_identity(gadget.election, gadget.system, ident)
+        evaluate_identity(gadget.election, gadget.system, ident, tallies)
         for ident in gadget.identities
     )
 
@@ -621,10 +642,11 @@ def _record(
                 disagree = True
     identities: list[IdentityResult] = []
     if "identities" in checks:
-        identities.extend(check_score_identities(gadget))
+        tallies: _Tallies = {}  # one tally per distinct subelection of this record
+        identities.extend(check_score_identities(gadget, tallies))
         if decision:
             for ident in _witness_identities(name, source, gadget, witness):
-                identities.append(evaluate_identity(gadget.election, gadget.system, ident))
+                identities.append(evaluate_identity(gadget.election, gadget.system, ident, tallies))
     notes: list[str] = []
     if "one-direction" in checks:
         if decision:

@@ -1,9 +1,15 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
 import io
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import rangecontrol
 from rangecontrol import control
 from rangecontrol.cli import run_cli
 
@@ -41,6 +47,21 @@ goal: constructive
 ties: eliminate
 distinguished: w
 """
+
+# 30 groups of 10^5 voters and a limit of 10^5: counting this space exactly
+# takes seconds, its cheap lower bound already exceeds the unbudgeted limit
+WIDE_DELETE_FILE = "".join([
+    "range: 9\ncandidates: w a b\nballots:\n",
+    *(f"100000 | {i % 10} {i // 10} 0\n" for i in range(30)),
+    "action: delete-voters\ngoal: constructive\ndistinguished: w\nlimit: 100000\n",
+])
+
+# 1,500 groups of 1,000 voters: 1001^1500 split vectors, a count of 4,500 digits
+HUGE_PARTITION_FILE = "".join([
+    "range: 20\ncandidates: w a b\nballots:\n",
+    *(f"1000 | {i % 21} {i // 21 % 21} {i // 441}\n" for i in range(1500)),
+    "action: partition-voters\ngoal: constructive\nties: eliminate\ndistinguished: w\n",
+])
 
 
 def cli(*argv):
@@ -138,6 +159,28 @@ class TestControl:
         code, out, err = cli("control", wide_partition_path)
         assert (code, out) == (2, "")
         assert err.startswith("error: search space of 1099511627776 actions exceeds")
+        assert "--budget" in err
+
+    def test_huge_voter_search_is_refused_before_it_is_counted(self, tmp_path, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the search was started")
+
+        monkeypatch.setattr(control, "solve", never)
+        path = tmp_path / "wide-delete.txt"
+        path.write_text(WIDE_DELETE_FILE)
+        start = time.perf_counter()
+        code, out, err = cli("control", str(path))
+        assert time.perf_counter() - start < 0.5
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search space of at least ")
+        assert "--budget" in err
+
+    def test_a_space_too_long_to_print_is_refused_as_a_power_of_two(self, tmp_path):
+        path = tmp_path / "huge-partition.txt"
+        path.write_text(HUGE_PARTITION_FILE)
+        code, out, err = cli("control", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: search space of at least 2^14950 actions exceeds")
         assert "--budget" in err
 
     def test_budget_lifts_the_space_limit(self, wide_partition_path):
@@ -317,6 +360,14 @@ class TestTableAndUsage:
         assert code == 0
         assert "NRV" in out and "Partition of voters" in out
         assert "static metadata" in out
+
+    def test_python_dash_m_runs_the_cli(self):
+        src = str(Path(rangecontrol.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "rangecontrol", "table"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == cli("table")[1]
 
     def test_usage_error(self):
         code, _, _ = cli("tally")  # missing required args

@@ -33,6 +33,7 @@ from rangecontrol.control import (
     replay_witness,
     scale_instance,
     search_space,
+    search_space_floor,
     solve,
     solve_add_candidates,
     solve_add_voters,
@@ -48,7 +49,16 @@ from rangecontrol.control import (
     _odometer,
     _subset_winners,
 )
-from rangecontrol.elections import NRV, RV, BallotGroup, Election, project, tally, weighted_sums
+from rangecontrol.elections import (
+    NRV,
+    RV,
+    BallotGroup,
+    Election,
+    integer_rows,
+    project,
+    tally,
+    weighted_sums,
+)
 from rangecontrol.gadgets import (
     HittingSetInstance,
     X3CInstance,
@@ -345,6 +355,26 @@ class TestOutcomeSemantics:
         assert out.decision is not None and out.explored <= space
 
     @given(st.integers(0, 3000))
+    @settings(max_examples=60, deadline=None)
+    def test_search_space_floor_bounds_the_voter_count(self, seed):
+        inst = gen_random_control_instance(seed, max_actions=3000)
+        floor = search_space_floor(inst)
+        if inst.family in (ADD_VOTERS, DELETE_VOTERS):
+            assert 1 <= floor <= search_space(inst)
+        else:
+            assert floor is None
+
+    def test_search_space_floor_of_equal_shares_is_exact(self):
+        base = election(3, ("a", "w"), [(5, (1, 0)), (5, (2, 0)), (5, (3, 0))])
+        inst = ControlInstance(base=base, family=DELETE_VOTERS, goal=CONSTRUCTIVE,
+                               system=RV, distinguished="w", limit=3)
+        # each group's share of the limit is 1: the 8 tuples of 0/1 entries, of 20 in all
+        assert (search_space_floor(inst), search_space(inst)) == (8, 20)
+        assert search_space_floor(replace(inst, limit=15)) == search_space(replace(inst, limit=15)) == 216
+        # a limit below the group count: 0/1 entries in the first two groups, of 10 tuples in all
+        assert (search_space_floor(replace(inst, limit=2)), search_space(replace(inst, limit=2))) == (4, 10)
+
+    @given(st.integers(0, 3000))
     @settings(max_examples=40, deadline=None)
     def test_search_space_counts_explored_no(self, seed):
         inst = gen_random_control_instance(seed, max_actions=3000)
@@ -427,6 +457,36 @@ class TestSubsetWinners:
             subset = [c for i, c in enumerate(e.candidates) if mask >> i & 1]
             got = frozenset(c for i, c in enumerate(e.candidates) if winners(mask) >> i & 1)
             assert got == tally(project(e, subset), system).winners
+
+    @pytest.mark.parametrize("system", [RV, NRV])
+    def test_every_mask_matches_project_and_tally(self, system):
+        rng = random.Random(f"subset-winners:{system}")
+        lcm_above_k = flat_seen = big_seen = 0
+        for trial in range(60):
+            k = 1 + trial % 7
+            cands = tuple(f"c{i}" for i in range(rng.randint(1, 6)))
+            rows = []
+            for _ in range(rng.randint(0, 8)):
+                if rng.random() < 0.2:
+                    scores = (rng.randint(0, k),) * len(cands)  # the same score for everyone
+                else:
+                    scores = tuple(rng.randint(0, k) for _ in cands)
+                mult = rng.choice([1, 2, 3, rng.randint(1, 10**6), 10**12 + rng.randint(0, 99)])
+                rows.append((mult, scores))
+            e = election(k, cands, rows)
+            flat_seen += any(len(set(g.scores)) == 1 for g in e.ballots)
+            big_seen += any(g.multiplicity > 10**6 for g in e.ballots)
+            winners = _subset_winners(e, system)
+            for mask in range(1 << len(cands)):  # mask 0 and one-candidate masks included
+                subset = [c for i, c in enumerate(cands) if mask >> i & 1]
+                sub = project(e, subset)
+                got = frozenset(c for i, c in enumerate(cands) if winners(mask) >> i & 1)
+                assert got == tally(sub, system).winners, (e, mask)
+                if len(subset) > 1:
+                    scale = integer_rows([g.scores for g in sub.ballots], k, NRV)[1]
+                    lcm_above_k += scale > k
+        assert flat_seen and big_seen
+        assert lcm_above_k  # some NRV subelection puts its ballots on a scale above k
 
     def test_solving_keeps_no_reference_to_the_gadget(self):
         hs = HittingSetInstance(("b1", "b2", "b3"), (("b1", "b2"), ("b2", "b3")), 1)

@@ -1,11 +1,15 @@
 """Generators, audits, report determinism, and counterexample replay."""
 
 import hashlib
+import itertools
 import json
+from fractions import Fraction
 
 import pytest
 
-from rangecontrol.gadgets import HittingSetInstance, X3CInstance
+from rangecontrol import harness
+from rangecontrol.elections import RV, Election
+from rangecontrol.gadgets import HittingSetInstance, ScoreIdentity, X3CInstance
 from rangecontrol.harness import (
     AuditSpec,
     audit_gadget,
@@ -231,6 +235,62 @@ class TestAudits:
         for rec in report.records:
             assert rec.status in ("agree", "disagree")
             assert rec.encoding.startswith("del-src ")
+
+
+# a small source family per gadget, in the audit's own order
+IDENTITY_SPECS = {
+    "hs-candidates": AuditSpec(gadget="hs-candidates", n=(1, 3), m=(2, 3), k=(1, 2)),
+    "hs-delete-constructive": AuditSpec(gadget="hs-delete-constructive", n=(1, 3), m=(1, 2)),
+    "rhs-voter-partition-tp": AuditSpec(gadget="rhs-voter-partition-tp", n=(6, 6), m=(1, 1),
+                                        isomorphism_free=False),
+    "x3c-voter-partition-te": AuditSpec(gadget="x3c-voter-partition-te", k=(1, 1), sets=(1, 2)),
+    "deletion-to-candidate-partition": AuditSpec(gadget="deletion-to-candidate-partition",
+                                                 mode="random", trials=6, seed=5),
+    "hs-destructive-candidate-partition": AuditSpec(gadget="hs-destructive-candidate-partition",
+                                                    n=(1, 3), m=(1, 2)),
+}
+
+
+class TestIdentityTallies:
+    def test_each_distinct_subelection_is_tallied_once(self, monkeypatch):
+        hs = HittingSetInstance(("b1", "b2", "b3"), (("b1", "b2"), ("b2", "b3")), 1)
+        gadget = harness.build_gadget("hs-candidates", hs)
+        subelections = {(i.voter_counts, i.candidates) for i in gadget.identities}
+        assert len(gadget.identities) == 4 + len(hs.universe) and len(subelections) == 2
+        calls = []
+        tally = harness.tally
+        monkeypatch.setattr(harness, "tally", lambda e, system: calls.append(e) or tally(e, system))
+        record = harness._record(0, encode_hs(hs), hs, gadget, IDENTITY_SPECS["hs-candidates"])
+        assert len(record.identities) == len(gadget.identities)
+        assert len(calls) == len(subelections)
+
+    def test_subelections_differing_only_in_voters_are_kept_apart(self):
+        e = Election.from_rows(1, ("a", "b"), [(1, (1, 0)), (2, (0, 1))])
+        identities = [
+            ScoreIdentity("a in (C,V)", "a", Fraction(1)),
+            ScoreIdentity("a in (C,V1)", "a", Fraction(1), voter_counts=(2, 0)),
+            ScoreIdentity("b in ({a,b},V)", "b", Fraction(2), candidates=("a", "b")),
+        ]
+        tallies = {}
+        shared = [harness.evaluate_identity(e, RV, i, tallies) for i in identities]
+        assert shared == [harness.evaluate_identity(e, RV, i) for i in identities]
+        assert [r.passed for r in shared] == [True, False, True] and len(tallies) == 3
+
+    @pytest.mark.parametrize("name", harness.GADGET_NAMES)
+    def test_memoized_identities_match_one_at_a_time(self, name):
+        spec = IDENTITY_SPECS[name]
+        witnessed = 0
+        for index, (encoding, source, gadget) in enumerate(itertools.islice(harness._sources(spec), 12)):
+            decision, witness, _ = harness._reference(name, source, spec.budget)
+            identities = gadget.identities
+            if decision:
+                identities += harness._witness_identities(name, source, gadget, witness)
+                witnessed += len(identities) > len(gadget.identities)
+            alone = tuple(harness.evaluate_identity(gadget.election, gadget.system, i) for i in identities)
+            assert harness._record(index, encoding, source, gadget, spec).identities == alone
+        if name in ("hs-delete-constructive", "x3c-voter-partition-te",
+                    "hs-destructive-candidate-partition"):
+            assert witnessed  # the shared dict also served witness identities
 
 
 class TestReports:
