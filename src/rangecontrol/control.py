@@ -30,7 +30,10 @@ change, rather than re-tallying every action.  Every total is linear in
 the count tuple, so with its leading entries fixed, interval bounds on
 each candidate-pair margin over the free entries can prove that no
 completion succeeds; such a subtree is skipped and its size counted, so
-``explored`` and the witness are those of the plain scan.
+``explored`` and the witness are those of the plain scan.  A partition
+of voters decides like its mirror, the split vector ``mults - vec``, so
+a subtree whose every split vector comes after its mirror holds no first
+success and is skipped by the same rule.
 
 A node budget is a position in canonical order: the scan stops with
 ``decision=None`` ("budget exceeded", distinct from a proven "no")
@@ -40,6 +43,7 @@ or lies in a skipped subtree.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -252,9 +256,10 @@ def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
     """Winner bitmask of the subelection of ``base`` over the candidates in a bitmask.
 
     No mask projects ballots or builds rows: each is decided on the base
-    ballots' candidate columns and memoized for as long as the returned
-    function lives (one solve call).  Under ``rv`` a candidate's total does
-    not depend on who else stands, so the full totals are summed once.
+    ballots' candidate columns, afresh on every call: a subset solve never
+    repeats a mask, and the partition solvers memoize their own calls.
+    Under ``rv`` a candidate's total does not depend on who else stands,
+    so the full totals are summed once.
     Under ``nrv`` a group's ``lo`` and ``hi`` over the mask are the first
     and last of its score values whose candidate bitmask meets the mask;
     the group weighs ``mult * (L // span)``, ``L`` being the lcm of the
@@ -267,7 +272,6 @@ def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
     mults = [g.multiplicity for g in groups]
     positions = range(len(base.candidates))
     columns = [[g.scores[c] for g in groups] for c in positions]
-    cache: dict[int, int] = {}
 
     if system == RV:
         full = [sum(map(operator.mul, mults, column)) for column in columns]
@@ -300,13 +304,10 @@ def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
             return [sum(map(operator.mul, weights, columns[c])) for c in keep]
 
     def winners(mask: int) -> int:
-        found = cache.get(mask)
-        if found is None:
-            keep = [c for c in positions if mask >> c & 1]
-            sums = totals(keep, mask) if keep else []
-            best = max(sums, default=None)
-            found = cache[mask] = sum(1 << c for c, t in zip(keep, sums) if t == best)
-        return found
+        keep = [c for c in positions if mask >> c & 1]
+        sums = totals(keep, mask) if keep else []
+        best = max(sums, default=None)
+        return sum(1 << c for c, t in zip(keep, sums) if t == best)
 
     return winners
 
@@ -335,7 +336,8 @@ def _capped_counts(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, lis
     ``row[min(r - lo, len(row) - 1)]`` counts its tuples.  A row covers the
     rooms that its level can be reached with, ``r >= lo``, and ends where
     ``r`` reaches the free entries' own cap sum, past which every tuple
-    fits.  Each row is a prefix-sum window over the one below it.
+    fits.  Each row is a prefix-sum window over the one below it, whose
+    prefix sums are stored only over that row's own rooms.
     """
     before = sum(caps)  # cap sum of the entries fixed above the level
     lo, hi, row = 0, 0, [1]  # level len(caps): the empty tuple
@@ -346,8 +348,14 @@ def _capped_counts(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, lis
         hi = min(cap_sum, below_hi + cap)
         lo = min(max(0, cap_sum - before), hi)
         first = max(0, lo - cap)
-        run = [0, *itertools.accumulate(below[min(s, below_hi) - below_lo] for s in range(first, hi + 1))]
-        row = [run[r + 1 - first] - run[max(first, r - cap) - first] for r in range(lo, hi + 1)]
+        # the window's terms are below's entries up to below_hi, then below[-1]
+        top = min(hi, below_hi)
+        run = [0, *itertools.accumulate(below[s - below_lo] for s in range(first, top + 1))]
+
+        def prefix(s: int) -> int:  # the sum of the terms for rooms first..s-1
+            return run[min(s, top + 1) - first] + max(0, s - top - 1) * below[-1]
+
+        row = [prefix(r + 1) - prefix(max(first, r - cap)) for r in range(lo, hi + 1)]
         yield lo, row
 
 
@@ -363,7 +371,7 @@ def _odometer(
     cap_sum: int,
     moves: Sequence[Sequence[int]],
     start: Sequence[int],
-    dead: Callable[[int, list[int], int], bool] | None = None,
+    dead: Callable[[int, list[int], list[int], int], bool] | None = None,
 ) -> Iterator[tuple]:
     """All per-group count tuples with sum <= cap_sum, lexicographic order, each
     with its totals ``start + sum(count_i * moves[i])`` as a fresh list.
@@ -374,9 +382,11 @@ def _odometer(
 
     A tuple whose entries from ``d`` on are zero is the first of the subtree
     that fixes entries ``0..d-1``.  With ``dead``, each such subtree is put
-    to ``dead(d, totals, room)``, largest first, ``room`` being what the
-    fixed entries leave of ``cap_sum``; a subtree it proves holds no success
-    is yielded as ``(size, None)``, its number of tuples, and walked no further.
+    to ``dead(d, vec, totals, room)``, largest first, ``vec`` being that
+    first tuple (only ``vec[:d]`` is fixed; it is the odometer's own list,
+    to read, not keep) and ``room`` what the fixed entries leave of
+    ``cap_sum``; a subtree it proves holds no success is yielded as
+    ``(size, None)``, its number of tuples, and walked no further.
     """
     levels = len(caps)
     sizes = list(_capped_counts(caps, cap_sum))[::-1] if dead else []
@@ -389,7 +399,7 @@ def _odometer(
             while free < levels:
                 lo, row = sizes[free]
                 size = row[min(room - lo, len(row) - 1)]
-                if size > 1 and dead(free, totals, room):
+                if size > 1 and dead(free, vec, totals, room):
                     break
                 free += 1
         else:
@@ -552,7 +562,7 @@ def _solve_voter_count(
     lead_moves = [[sign * (move[w] - move[c]) for c in rivals] for move in moves]
     falls, unit_falls = _suffix_falls(caps, lead_moves, len(rivals))
 
-    def dead(level: int, totals: list[int], room: int) -> bool:
+    def dead(level: int, vec: list[int], totals: list[int], room: int) -> bool:
         lows = (
             sign * (totals[w] - totals[c]) + max(fall, room * unit)
             for c, fall, unit in zip(rivals, falls[level], unit_falls[level])
@@ -581,7 +591,7 @@ def _solve_candidate_partition(
     base = instance.base
     everyone = (1 << len(base.candidates)) - 1
     wanted = 1 << base.index(instance.distinguished)
-    winners = _subset_winners(base, instance.system)
+    winners = functools.cache(_subset_winners(base, instance.system))
     runoff = instance.family == RUNOFF_PARTITION_CANDIDATES
 
     def evaluate(mask: int) -> bool:
@@ -607,8 +617,15 @@ def solve_partition_voters(
     group ``i`` into the first subelection, the rest into the second.
     By multiplicity linearity this covers every voter partition.  Both
     subelections use the full candidate set; the survivors' union faces
-    the full voter set in the final round.  A subtree of the scan is
-    skipped once every pair of survivor sets its sides can reach fails.
+    the full voter set in the final round.
+
+    Swapping the sides leaves the finalists alone, so a split vector and
+    its complement ``mults - vec`` decide alike, and whichever of the two
+    comes later in canonical order can succeed only if the earlier one
+    did.  A subtree of the scan is therefore skipped as soon as its fixed
+    entries' first one with ``2 * v != m`` has ``2 * v > m`` (each of its
+    vectors comes after its complement), and otherwise once every pair of
+    survivor sets its sides can reach fails.
     """
     _require(instance, PARTITION_VOTERS)
     base = instance.base
@@ -616,7 +633,7 @@ def solve_partition_voters(
     zeros = [0] * len(base.candidates)
     full = weighted_sums(rows, mults, zeros)
     wanted = 1 << base.index(instance.distinguished)
-    winners = _subset_winners(base, instance.system)
+    winners = functools.cache(_subset_winners(base, instance.system))
     n = len(base.candidates)
     # falls[d][a * n + c]: how far the first side's t_a - t_c can fall over a
     # subtree at level d; the second side's falls as far as the first's t_c - t_a rises
@@ -624,7 +641,12 @@ def solve_partition_voters(
     falls, _ = _suffix_falls(mults, [[row[a] - row[c] for a, c in pairs] for row in rows], n * n)
     rises = [[level[c * n + a] for a, c in pairs] for level in falls]
 
-    def dead(level: int, first: list[int], room: int) -> bool:
+    def dead(level: int, vec: list[int], first: list[int], room: int) -> bool:
+        for i in range(level):
+            if 2 * vec[i] != mults[i]:
+                if 2 * vec[i] > mults[i]:
+                    return True  # the mirror half: every complement came first
+                break
         lead1 = _lone_leader(first, falls[level])
         if not lead1 and instance.tie_model == TIES_PROMOTE:
             return False  # a side without a sure lone winner may promote any tie

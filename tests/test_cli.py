@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -12,6 +13,9 @@ import pytest
 import rangecontrol
 from rangecontrol import control
 from rangecontrol.cli import run_cli
+from rangecontrol.fileio import parse_election
+
+from helpers import reference_scan
 
 SHIFTY_FILE = """\
 range: 2
@@ -62,6 +66,23 @@ HUGE_PARTITION_FILE = "".join([
     *(f"1000 | {i % 21} {i // 21 % 21} {i // 441}\n" for i in range(1500)),
     "action: partition-voters\ngoal: constructive\nties: eliminate\ndistinguished: w\n",
 ])
+
+
+# 45 split vectors, of which every one with first entry 3 or 4 comes after its
+# complement; under rv the canonical witness (2, 0, 2) sends half of the first
+# group to each side, under nrv there is none
+HALVED_PARTITION_FILE = """\
+range: 2
+candidates: a w x
+ballots:
+4 | 0 1 0
+2 | 0 1 2
+2 | 2 1 1
+action: partition-voters
+goal: destructive
+ties: eliminate
+distinguished: w
+"""
 
 
 def cli(*argv):
@@ -182,6 +203,30 @@ class TestControl:
         assert (code, out) == (2, "")
         assert err.startswith("error: search space of at least 2^14950 actions exceeds")
         assert "--budget" in err
+
+    @pytest.mark.parametrize("system, outcome", [
+        ("rv", (True, (2, 0, 2), 21)),
+        ("nrv", (False, None, 45)),
+    ])
+    def test_every_budget_matches_the_unpruned_reference(self, tmp_path, system, outcome):
+        path = tmp_path / "halved-partition.txt"
+        path.write_text(HALVED_PARTITION_FILE)
+        instance = replace(parse_election(HALVED_PARTITION_FILE).instance, system=system)
+        space = control.search_space(instance)
+        assert space == 45
+        for budget in range(space + 1):
+            code, out, _ = cli("control", "--witness", "--system", system,
+                               "--budget", str(budget), str(path))
+            decision, witness, explored = reference_scan(instance, budget)
+            if decision is None:
+                expected = ["BUDGET-EXCEEDED"]
+            elif decision:
+                expected = ["YES", "first-group-counts: " + " ".join(map(str, witness))]
+            else:
+                expected = ["NO"]
+            expected.append(f"explored: {explored}")
+            assert (code, out.splitlines()) == (3 if decision is None else 0, expected), budget
+        assert (decision, witness, explored) == outcome
 
     def test_budget_lifts_the_space_limit(self, wide_partition_path):
         code, out, _ = cli("control", "--budget", "10", wide_partition_path)

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 import time
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -488,6 +489,22 @@ class TestSubsetWinners:
         assert flat_seen and big_seen
         assert lcm_above_k  # some NRV subelection puts its ballots on a scale above k
 
+    def test_a_no_subset_solve_keeps_no_table_of_its_masks(self):
+        # w tops every subelection alone, so all 2^13 deletions are decided, each once
+        cands = tuple(f"c{i}" for i in range(13)) + ("w",)
+        inst = ControlInstance(
+            base=election(1, cands, [(1, (0,) * 13 + (1,))]),
+            family=DELETE_CANDIDATES, goal=DESTRUCTIVE, system=RV, distinguished="w", limit=13,
+        )
+        tracemalloc.start()
+        try:
+            out = solve(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (out.decision, out.explored) == (False, 1 << 13)
+        assert peak < 100_000
+
     def test_solving_keeps_no_reference_to_the_gadget(self):
         hs = HittingSetInstance(("b1", "b2", "b3"), (("b1", "b2"), ("b2", "b3")), 1)
         refs = []
@@ -567,6 +584,21 @@ class TestCappedCounts:
         count = _count_capped_vectors([4000] * 4, 4000)
         assert time.perf_counter() - start < 0.5
         assert count == math.comb(4004, 4)  # no single entry can exceed the limit
+
+    def test_a_limit_past_the_caps_is_counted_without_walking_them(self):
+        # each level's row has one room; past the row below's last room every
+        # term of its window is the same, so no level walks its cap
+        start = time.perf_counter()
+        count = _count_capped_vectors([10**6], 10**7)
+        assert time.perf_counter() - start < 0.05
+        assert count == 10**6 + 1
+        tracemalloc.start()
+        try:
+            assert _count_capped_vectors([10**6, 10**6], 10**7) == (10**6 + 1) ** 2
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100_000
 
 
 class TestOdometer:
@@ -694,6 +726,93 @@ class TestPrunedScan:
             assert out.decision is False
             assert out.explored == search_space(inst)
             assert evaluated[0] * share < out.explored, (evaluated[0], out.explored)
+
+
+def record_evaluations(monkeypatch) -> list:
+    """Make every later scan append each action it evaluates to the returned list."""
+    evaluated = []
+    scan = control._scan
+
+    def recording_scan(steps, evaluate, budget):
+        def recorded(action):
+            evaluated.append(action)
+            return evaluate(action)
+        return scan(steps, recorded, budget)
+
+    monkeypatch.setattr(control, "_scan", recording_scan)
+    return evaluated
+
+
+def even_partition_election(seed: int) -> Election:
+    """An election of at most 36 split vectors whose multiplicities are all even,
+    so that a split vector can match its complement in every entry."""
+    rng = random.Random(f"mirror:{seed}")
+    k = rng.randint(1, 3)
+    cands = ("a", "w", "x")[: rng.randint(2, 3)]
+    while True:
+        rows = [(rng.choice((2, 2, 4)), tuple(rng.randint(0, k) for _ in cands))
+                for _ in range(rng.randint(1, 4))]
+        base = election(k, cands, rows)
+        if math.prod(g.multiplicity + 1 for g in base.ballots) <= 36:
+            return base
+
+
+def assert_no_mirror_evaluated(evaluated, mults) -> None:
+    """No evaluated split vector comes after its complement ``mults - vec`` in canonical
+    order, except one whose first entry unlike the complement's is its last: a subtree
+    of one vector is evaluated, never bounded."""
+    for vec, _ in evaluated:
+        i = next((i for i, (v, m) in enumerate(zip(vec, mults)) if 2 * v != m), None)
+        assert i is None or i == len(mults) - 1 or 2 * vec[i] < mults[i], vec
+
+
+class TestMirrorSkip:
+    EDGE_CASES = (
+        # the first two canonical witnesses send half of the first group to each side:
+        # destructive, rv, eliminate: witness (2, 0, 2)
+        election(2, ("a", "w", "x"), [(4, (0, 1, 0)), (2, (0, 1, 2)), (2, (2, 1, 1))]),
+        # constructive, rv, eliminate: witness (1, 0, 2)
+        election(2, ("a", "w", "x"), [(2, (0, 2, 2)), (2, (2, 0, 1)), (2, (2, 2, 0))]),
+        # constructive, rv, promote: witness (0, 3, 2), before its complement (2, 1, 0) by
+        # its first entry although its second exceeds the complement's
+        election(3, ("a", "w", "x"), [(2, (0, 3, 3)), (4, (1, 1, 0)), (2, (2, 0, 3))]),
+    )
+
+    def test_matches_the_unpruned_reference_at_every_budget(self, monkeypatch):
+        evaluated = record_evaluations(monkeypatch)
+        bases = [even_partition_election(seed) for seed in range(10)] + list(self.EDGE_CASES)
+        halved_witnesses = no_scans = 0
+        for base in bases:
+            mults = [g.multiplicity for g in base.ballots]
+            assert all(m % 2 == 0 for m in mults)
+            for goal, system, tie_model in itertools.product(
+                (CONSTRUCTIVE, DESTRUCTIVE), (RV, NRV), (TIES_PROMOTE, TIES_ELIMINATE)
+            ):
+                variant = ControlInstance(base=base, family=PARTITION_VOTERS, goal=goal,
+                                          system=system, distinguished="w", tie_model=tie_model)
+                for budget in range(search_space(variant) + 1):
+                    expected = reference_scan(variant, budget)
+                    out = solve(variant, budget=budget)
+                    assert (out.decision, out.witness, out.explored) == expected, (variant, budget)
+                if out.decision:
+                    halved_witnesses += 2 * out.witness[0] == mults[0]
+                no_scans += out.decision is False
+                assert_no_mirror_evaluated(evaluated, mults)
+                evaluated.clear()
+        assert halved_witnesses >= 2 and no_scans
+
+    def test_the_x3c_no_scan_skips_the_mirror_half(self, monkeypatch):
+        evaluated = record_evaluations(monkeypatch)
+        # no two of these triples are disjoint, so there is no exact cover
+        x3c = X3CInstance(("b1", "b2", "b3", "b4", "b5", "b6"),
+                          (("b1", "b2", "b3"), ("b1", "b4", "b5"), ("b2", "b4", "b6")))
+        (partition,) = gadget_x3c_voter_partition_te(x3c).instances
+        out = solve(partition)
+        assert out.decision is False
+        assert out.explored == search_space(partition)
+        assert_no_mirror_evaluated(evaluated, [g.multiplicity for g in partition.base.ballots])
+        # the margin bounds alone leave about one vector in six to evaluate
+        assert len(evaluated) * 10 < out.explored
 
 
 class TestPinnedOutputs:
