@@ -21,12 +21,14 @@ rendering, so identical inputs produce byte-identical output.
 
 from __future__ import annotations
 
+import array
 import itertools
 import json
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from . import control as ctl
 from .control import ControlInstance, describe, solve
@@ -310,33 +312,36 @@ def gen_random_control_instance(seed: int, max_actions: int = 30000) -> ControlI
 # ---------------------------------------------------------------------------
 # exhaustive instance enumeration (ordered by n, m, k, then family)
 
-def _orbit(masks: tuple[int, ...], n: int) -> set[tuple[int, ...]]:
-    """The sorted families that the n! element permutations make of ``masks``."""
-    orbit = set()
-    for perm in itertools.permutations(range(n)):
-        permuted = []
-        for mask in masks:
-            pm = 0
-            for i in range(n):
-                if mask >> i & 1:
-                    pm |= 1 << perm[i]
-            permuted.append(pm)
-        orbit.add(tuple(sorted(permuted)))
-    return orbit
-
-
 def _least_of_orbit(n: int) -> Callable[[tuple[int, ...]], bool]:
-    """For one pass that asks about each sorted family once: is it the least of its orbit?
+    """For one pass that asks about each sorted family of nonempty masks once:
+    is it the least of its orbit under the n! element permutations?
 
+    ``bit_images[i]`` lists ``1 << perm[i]`` over the permutations in
+    ``itertools.permutations`` order, in 2-byte entries (n <= 16): O(n * n!)
+    per pass, and no per-mask cache. A mask's images are the element-wise OR
+    of its bits' lists, so the orbit comes from C-level ``map``/``zip`` passes.
     The first member met walks the orbit and maps the rest to its least member;
-    each is answered later by one ``dict.pop``, so the memo holds only unvisited ones.
+    each is answered later by one ``dict.pop``, so the memo holds only
+    unvisited ones.
     """
+    bit_images = [
+        array.array("H", map((1).__lshift__,
+                             map(operator.itemgetter(i), itertools.permutations(range(n)))))
+        for i in range(n)
+    ]
     least: dict[tuple[int, ...], tuple[int, ...]] = {}
+
+    def images(mask: int) -> Iterable[int]:
+        bits = [bit_images[i] for i in range(n) if mask >> i & 1]
+        image = bits[0]
+        for column in bits[1:]:
+            image = map(operator.or_, image, column)
+        return image
 
     def is_least(family: tuple[int, ...]) -> bool:
         rep = least.pop(family, None)
         if rep is None:
-            orbit = _orbit(family, n)
+            orbit = set(map(tuple, map(sorted, zip(*map(images, family)))))
             rep = min(orbit)
             orbit.discard(family)
             least.update(dict.fromkeys(orbit, rep))
@@ -354,14 +359,15 @@ def exhaustive_hs_instances(
     """All hitting-set instances within bounds, ascending by (n, m, k, family).
 
     ``isomorphism_free`` yields the least member of each orbit under element
-    permutations, in ascending order, at one n! orbit walk per class."""
+    permutations, in ascending order, at one orbit walk per class through a
+    per-(n, m) table of the n! permutations' bit images (``_least_of_orbit``)."""
     for n in range(max(1, n_range[0]), n_range[1] + 1):
         universe = tuple(f"b{i + 1}" for i in range(n))
         nonempty = range(1, 1 << n)
         for m in range(max(1, m_range[0]), m_range[1] + 1):
-            is_least = _least_of_orbit(n)
+            is_least = _least_of_orbit(n) if isomorphism_free else None
             for family in itertools.combinations_with_replacement(nonempty, m):
-                if isomorphism_free and not is_least(family):
+                if is_least is not None and not is_least(family):
                     continue
                 sets = tuple(
                     tuple(universe[i] for i in range(n) if mask >> i & 1) for mask in family
@@ -378,14 +384,15 @@ def exhaustive_x3c_instances(
     """All exact-cover instances within bounds, ascending by (k, |S|, family).
 
     ``isomorphism_free`` yields the least member (by sorted masks) of each orbit
-    under element permutations, in ascending order, at one (3k)! orbit walk per class."""
+    under element permutations, in ascending order, at one orbit walk per class
+    through a per-(k, |S|) table of the (3k)! permutations' bit images."""
     for k in range(max(1, k_range[0]), k_range[1] + 1):
         elements = tuple(f"b{i + 1}" for i in range(3 * k))
         triples = list(itertools.combinations(range(3 * k), 3))
         masks = {t: (1 << t[0]) | (1 << t[1]) | (1 << t[2]) for t in triples}
         full = (1 << (3 * k)) - 1
         for count in range(max(k, set_range[0]), set_range[1] + 1):
-            is_least = _least_of_orbit(3 * k)
+            is_least = _least_of_orbit(3 * k) if isomorphism_free else None
             for family in itertools.combinations_with_replacement(triples, count):
                 union = 0
                 for t in family:
@@ -393,7 +400,7 @@ def exhaustive_x3c_instances(
                 if union != full:
                     continue
                 # triple order is not mask order: key the orbit by sorted masks
-                if isomorphism_free and not is_least(tuple(sorted(masks[t] for t in family))):
+                if is_least is not None and not is_least(tuple(sorted(masks[t] for t in family))):
                     continue
                 sets = tuple(tuple(elements[i] for i in t) for t in family)
                 yield X3CInstance(elements, sets)

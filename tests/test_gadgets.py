@@ -16,6 +16,7 @@ from rangecontrol.control import (
     PARTITION_CANDIDATES,
     RUNOFF_PARTITION_CANDIDATES,
     ControlInstance,
+    replay_witness,
     scale_instance,
     solve,
 )
@@ -24,6 +25,7 @@ from rangecontrol.gadgets import (
     GadgetError,
     HittingSetInstance,
     X3CInstance,
+    _group_index,
     delete_constructive_subelection_identities,
     destructive_partition_subelection_identities,
     gadget_deletion_to_candidate_partition,
@@ -36,7 +38,13 @@ from rangecontrol.gadgets import (
     tp_explicit_partition,
     x3c_cover_side,
 )
-from rangecontrol.harness import check_score_identities, evaluate_identity
+from rangecontrol.harness import (
+    AuditSpec,
+    audit_gadget,
+    check_score_identities,
+    evaluate_identity,
+    gen_random_x3c,
+)
 from rangecontrol.oracles import solve_hitting_set, solve_x3c
 
 from helpers import brute_tally
@@ -206,6 +214,44 @@ class TestX3cVoterPartitionTe:
         g = gadget_x3c_voter_partition_te(inst)
         expected = n + 2 * n + (k - 1) + 3 * k + (2 * k + 3 * n + 1)
         assert g.election.total_voters == expected
+
+    # README finding 6: side 1 = all k-1 balance voters plus j element voters
+    @staticmethod
+    def balance_and_element_voters(g, x3c, j):
+        counts = [0] * len(g.election.ballots)
+        if x3c.k > 1:
+            counts[_group_index(g.election, {"w": 4, "c": 2})] += x3c.k - 1
+        for b in x3c.elements[:j]:
+            scores = {b: 4, **{y: 1 for y in x3c.elements if y != b}, "c": 1}
+            counts[_group_index(g.election, scores)] += 1
+        return tuple(counts)
+
+    def replayed_js(self, x3c):
+        g = gadget_x3c_voter_partition_te(x3c)
+        return [
+            j for j in range(3 * x3c.k + 1)
+            if replay_witness(g.instances[0], self.balance_and_element_voters(g, x3c, j))
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("k", [3, 4, 5])
+    def test_no_instances_fall_to_balance_and_element_voters(self, k, seed):
+        # c tops side 1 alone iff 2k-1 <= j <= 3k, whatever the set family
+        x3c = gen_random_x3c(k, k + 2, seed, planted=False)
+        assert solve_x3c(x3c).decision is False
+        assert self.replayed_js(x3c) == list(range(2 * k - 1, 3 * k + 1))
+
+    def test_no_such_split_replays_at_k2(self):
+        x3c = gen_random_x3c(2, 4, 0, planted=False)
+        assert solve_x3c(x3c).decision is False
+        assert self.replayed_js(x3c) == []
+
+    def test_k3_audit_disagrees_on_every_no_record(self):
+        report = audit_gadget(AuditSpec(gadget="x3c-voter-partition-te", mode="random",
+                                        k=(3, 3), sets=(4, 5), trials=6, seed=1))
+        no_records = [r for r in report.records if r.oracle == "no"]
+        assert [r.index for r in no_records] == [0, 5]
+        assert all(r.status == "disagree" for r in no_records)
 
 
 class TestDeletionToCandidatePartition:

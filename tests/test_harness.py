@@ -3,6 +3,8 @@
 import hashlib
 import itertools
 import json
+import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -32,6 +34,7 @@ from rangecontrol.harness import (
 from rangecontrol.oracles import solve_x3c, validate_restricted_hs
 
 from helpers import (
+    _permuted_families,
     canonical_family,
     family_masks,
     reference_hs_instances,
@@ -96,6 +99,47 @@ class TestExhaustiveEnumeration:
         assert kept == {
             (canonical_family(family_masks(r.universe, r.sets), r.n), r.k) for r in raw
         }
+
+    @staticmethod
+    def random_families(n):
+        """Seeded random sorted families of nonempty masks: m = 1..4, and at
+        n=6 also families of 3-element masks as the exact-cover sweep makes."""
+        rng = random.Random(n)
+        for m in range(1, 5):
+            for _ in range(3):
+                yield tuple(sorted(rng.randrange(1, 1 << n) for _ in range(m)))
+        if n == 6:
+            triples = [sum(1 << i for i in t) for t in itertools.combinations(range(6), 3)]
+            for m in range(2, 6):
+                yield tuple(sorted(rng.choice(triples) for _ in range(m)))
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_least_of_orbit_matches_canonical_family(self, n):
+        for family in self.random_families(n):
+            canon = canonical_family(family, n)
+            is_least = harness._least_of_orbit(n)
+            assert is_least(family) == (family == canon)
+            # later orbit members are answered from the memo
+            for member in set(_permuted_families(family, n)) - {family}:
+                assert is_least(member) == (member == canon)
+
+    def test_least_of_orbit_memory_is_bounded(self):
+        # the n=8 table holds 8 * 8! 2-byte entries, about 0.65 MB; keeping
+        # the images of the 98 masks asked about below as lists of ints
+        # would add about 32 MB, and as 2-byte arrays about 8 MB
+        def all_subsets(size):
+            return tuple(sorted(sum(1 << i for i in c)
+                                for c in itertools.combinations(range(8), size)))
+
+        tracemalloc.start()
+        try:
+            is_least = harness._least_of_orbit(8)
+            assert is_least(all_subsets(2)) and is_least(all_subsets(4))  # their own orbits
+            assert not is_least((35, 146, 206, 217))  # an orbit of 8!/2 families
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
 
     def test_x3c_k1_families(self):
         insts = list(exhaustive_x3c_instances((1, 1), (1, 2)))
@@ -355,13 +399,15 @@ def test_report_bytes_are_pinned(spec, text_sha, jsonl_sha):
     assert hashlib.sha256(render_jsonl(report).encode()).hexdigest() == jsonl_sha
 
 
-# sha256 of repr(list(...)) of two isomorph-free sweeps, computed with the
+# sha256 of repr(list(...)) of three isomorph-free sweeps, computed with the
 # n!-per-family reference filter (tests/helpers.py: canonical_family).
 PINNED_ENUMERATIONS = [
     ("hs n=6 m=2..3 k=1", lambda: exhaustive_hs_instances((6, 6), (2, 3), (1, 1)), 379,
      "041dafa48716f1dbf415e0385db9d93409b0d486a374bd85ce6d676e55cb2cdc"),
     ("x3c k=2 sets=2..5", lambda: exhaustive_x3c_instances((2, 2), (2, 5)), 115,
      "36985cb820cc29b9a9452bba78bc3073422ecd56e2876e0bac8cc774ccece292"),
+    ("hs n=7 m=2 k=1", lambda: exhaustive_hs_instances((7, 7), (2, 2), (1, 1)), 62,
+     "de1f90c7205be095aef1fbd4e891304e3c1ed1ba2185245a974f3b6facc25b54"),
 ]
 
 
