@@ -245,6 +245,12 @@ def _top(totals: Sequence[int]) -> int:
     return sum(1 << i for i, t in enumerate(totals) if t == best)
 
 
+def _lone_top(totals: Sequence[int]) -> int:
+    """The bit of a lone argmax of ``totals``, else 0: who survives ties-eliminate."""
+    best = max(totals)
+    return 1 << totals.index(best) if totals.count(best) == 1 else 0
+
+
 def _survivors(winners: int, tie_model: str) -> int:
     """All winners proceed (promote) or only a lone winner (eliminate)."""
     if tie_model == TIES_PROMOTE or not winners & (winners - 1):
@@ -413,19 +419,15 @@ def _odometer(
             held, vec[i] = vec[i], 0
             if held:
                 room += held
-                totals = [t - held * s for t, s in zip(totals, moves[i])]
+                unwound = map(operator.mul, moves[i], itertools.repeat(held))
+                totals = list(map(operator.sub, totals, unwound))
             i -= 1
         if i < 0:
             return
         vec[i] += 1
         room -= 1
-        totals = [t + s for t, s in zip(totals, moves[i])]
+        totals = list(map(operator.add, totals, moves[i]))
         free = i + 1
-
-
-def _capped_vectors(caps: Sequence[int], cap_sum: int) -> Iterator[tuple[int, ...]]:
-    """The odometer's count tuples alone (zero-width moves)."""
-    return (vec for vec, _ in _odometer(caps, cap_sum, [()] * len(caps), ()))
 
 
 def _suffix_falls(
@@ -625,21 +627,16 @@ def solve_partition_voters(
     did.  A subtree of the scan is therefore skipped as soon as its fixed
     entries' first one with ``2 * v != m`` has ``2 * v > m`` (each of its
     vectors comes after its complement), and otherwise once every pair of
-    survivor sets its sides can reach fails.
+    survivor sets its sides can reach fails (see :func:`_margin_lines`).
     """
     _require(instance, PARTITION_VOTERS)
     base = instance.base
     rows, mults = _voter_rows(instance, base.ballots)
-    zeros = [0] * len(base.candidates)
-    full = weighted_sums(rows, mults, zeros)
+    full = weighted_sums(rows, mults, [0] * len(base.candidates))
     wanted = 1 << base.index(instance.distinguished)
     winners = functools.cache(_subset_winners(base, instance.system))
-    n = len(base.candidates)
-    # falls[d][a * n + c]: how far the first side's t_a - t_c can fall over a
-    # subtree at level d; the second side's falls as far as the first's t_c - t_a rises
-    pairs = [(a, c) for a in range(n) for c in range(n)]
-    falls, _ = _suffix_falls(mults, [[row[a] - row[c] for a, c in pairs] for row in rows], n * n)
-    rises = [[level[c * n + a] for a, c in pairs] for level in falls]
+    goal, promote = instance.goal, instance.tie_model == TIES_PROMOTE
+    lines = _margin_lines(rows, mults, len(full))
 
     def dead(level: int, vec: list[int], first: list[int], room: int) -> bool:
         for i in range(level):
@@ -647,56 +644,75 @@ def solve_partition_voters(
                 if 2 * vec[i] > mults[i]:
                     return True  # the mirror half: every complement came first
                 break
-        lead1 = _lone_leader(first, falls[level])
-        if not lead1 and instance.tie_model == TIES_PROMOTE:
+        lead_rows, lead_columns, top_rows, top_columns = lines[level]
+        lead1 = _lone_leader(first, lead_rows)
+        if not lead1 and promote:
             return False  # a side without a sure lone winner may promote any tie
-        second = [f - s for f, s in zip(full, first)]
-        lead2 = _lone_leader(second, rises[level])
+        second = list(map(operator.sub, full, first))
+        lead2 = _lone_leader(second, lead_columns)
         if lead1 and lead2:
             finalists = [lead1 | lead2]
-        elif instance.tie_model == TIES_PROMOTE:
+        elif promote:
             return False
-        elif not lead1 and not lead2 and instance.goal == DESTRUCTIVE:
+        elif not lead1 and not lead2 and goal == DESTRUCTIVE:
             return False  # both sides may tie, leaving no finalist and so no winner
         else:
             # ties-eliminate: a side's survivors are its sure leader, else nobody or a possible lone top
-            d1 = (lead1,) if lead1 else (0, *_possible_lone_tops(first, falls[level]))
-            d2 = (lead2,) if lead2 else (0, *_possible_lone_tops(second, rises[level]))
+            d1 = (lead1,) if lead1 else (0, *_possible_lone_tops(first, top_columns))
+            d2 = (lead2,) if lead2 else (0, *_possible_lone_tops(second, top_rows))
             finalists = [a | b for a in d1 for b in d2]
-        return not any(_goal_met(instance.goal, wanted, winners(mask)) for mask in finalists)
+        return not any(_goal_met(goal, wanted, winners(mask)) for mask in finalists)
+
+    survivors = _top if promote else _lone_top
 
     def evaluate(action: tuple) -> bool:
         first = action[1]
-        second = [f - s for f, s in zip(full, first)]
-        d1 = _survivors(_top(first), instance.tie_model)
-        d2 = _survivors(_top(second), instance.tie_model)
-        return _goal_met(instance.goal, wanted, winners(d1 | d2))
+        second = list(map(operator.sub, full, first))
+        return _goal_met(goal, wanted, winners(survivors(first) | survivors(second)))
 
     # cap_sum = sum(mults) admits every split vector: the full box, lexicographically
-    return _scan_counts(_odometer(mults, sum(mults), rows, zeros, dead), evaluate, budget)
+    walk = _odometer(mults, sum(mults), rows, [0] * len(full), dead)
+    return _scan_counts(walk, evaluate, budget)
 
 
-def _lone_leader(totals: list[int], falls: list[int]) -> int:
-    """The bitmask of the candidate that tops one side alone throughout a subtree, else 0.
+def _margin_lines(rows: Sequence[Sequence[int]], mults: Sequence[int], n: int) -> list[tuple]:
+    """Per level of the partition-voters scan, the rows and columns of its margin table.
 
-    ``totals`` are the side's totals at the subtree's first action and
-    ``falls[a * n + c]`` how far ``t_a - t_c`` can fall from them.
+    ``falls[a * n + c]`` is how far the first side's ``t_a - t_c`` can fall
+    over a subtree at the level, so how far the second side's ``t_c - t_a``
+    can: the second side reads columns where the first reads rows, and the
+    reverse.  A level holds ``(lead_rows, lead_columns, top_rows,
+    top_columns)``, lines of two copies of the table with diagonals ``+big``
+    (for :func:`_lone_leader`) and ``-big`` (for :func:`_possible_lone_tops`).
     """
-    n = len(totals)
-    top = _top(totals)
-    a = top.bit_length() - 1
-    if top == 1 << a and all(totals[a] - totals[c] + falls[a * n + c] > 0 for c in range(n) if c != a):
-        return top
-    return 0
+    pairs = [(a, c) for a in range(n) for c in range(n)]
+    falls, _ = _suffix_falls(mults, [[row[a] - row[c] for a, c in pairs] for row in rows], n * n)
+    # Rows are nonnegative, so every total lies in [0, S] and every fall in [-S, 0],
+    # S = sum(mult * max(row)).  With big > 2S a diagonal term is never the min of a
+    # leader test nor the max of a top test, and alone (n = 1) it passes both, as an
+    # empty `all` does.  (Both compare strictly, so any big > 0 would decide alike.)
+    big = 1 + 2 * sum(m * max(row) for m, row in zip(mults, rows))
+
+    def lines(table: list[int], diagonal: int) -> tuple[list[list[int]], list[list[int]]]:
+        table[:: n + 1] = [diagonal] * n
+        return [table[a * n:a * n + n] for a in range(n)], [table[a::n] for a in range(n)]
+
+    return [(*lines(table, big), *lines(table, -big)) for table in falls]
 
 
-def _possible_lone_tops(totals: list[int], falls: list[int]) -> list[int]:
-    """Bitmasks of the candidates that may still top one side alone somewhere in a subtree."""
-    n = len(totals)
-    return [
-        1 << b for b in range(n)
-        if all(totals[b] - totals[c] - falls[c * n + b] > 0 for c in range(n) if c != b)
-    ]
+def _lone_leader(totals: list[int], lines: list[list[int]]) -> int:
+    """The bit of the candidate that tops one side alone throughout a subtree, else 0,
+    ``lines[a][c]`` being how far ``t_a - t_c`` can fall from ``totals`` (at its first action)."""
+    best = max(totals)
+    a = totals.index(best)
+    return 1 << a if min(map(operator.sub, lines[a], totals)) + best > 0 else 0
+
+
+def _possible_lone_tops(totals: list[int], lines: list[list[int]]) -> list[int]:
+    """Bits of the candidates that may still top one side alone somewhere in a subtree,
+    ``lines[b][c]`` being how far ``t_c - t_b`` can fall from ``totals``."""
+    return [1 << b for b, (t, line) in enumerate(zip(totals, lines))
+            if t > max(map(operator.add, totals, line))]
 
 
 # one solver per action shape; each reads its family from the instance

@@ -16,7 +16,6 @@ from .gadgets import HittingSetInstance, X3CInstance, satisfies_size_restriction
 __all__ = [
     "OracleResult",
     "solve_hitting_set",
-    "hitting_set_exhaustive",
     "solve_x3c",
     "validate_restricted_hs",
 ]
@@ -84,21 +83,6 @@ def solve_hitting_set(hs: HittingSetInstance) -> OracleResult:
     assert best is not None  # B itself always hits every (nonempty) set
     witness = tuple(hs.universe[i] for i in best)
     return OracleResult(len(best) <= hs.k, witness if len(best) <= hs.k else (), len(best))
-
-
-def hitting_set_exhaustive(hs: HittingSetInstance) -> OracleResult:
-    """Plain subset enumeration; cross-check for the branch-and-bound path."""
-    order = {e: i for i, e in enumerate(hs.universe)}
-    masks = [_mask(s, order) for s in hs.sets]
-    for size in range(hs.n + 1):
-        for combo in itertools.combinations(range(hs.n), size):
-            chosen = 0
-            for i in combo:
-                chosen |= 1 << i
-            if all(sm & chosen for sm in masks):
-                witness = tuple(hs.universe[i] for i in combo)
-                return OracleResult(size <= hs.k, witness if size <= hs.k else (), size)
-    raise AssertionError("unreachable: the full universe hits every set")
 
 
 def solve_x3c(x3c: X3CInstance) -> OracleResult:

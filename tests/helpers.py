@@ -21,28 +21,30 @@ from rangecontrol.control import (
     PARTITION_VOTERS,
     RUNOFF_PARTITION_CANDIDATES,
     ControlInstance,
+    _odometer,
 )
 from rangecontrol.elections import Election
+from rangecontrol.gadgets import HittingSetInstance
 from rangecontrol.harness import exhaustive_hs_instances, exhaustive_x3c_instances
+from rangecontrol.oracles import OracleResult
 
 
 def brute_tally(election: Election, system: str) -> dict[str, Fraction]:
-    """Direct summation over individually expanded voters."""
+    """Direct summation of each ballot group's normalized row, times its multiplicity."""
     totals = {c: Fraction(0) for c in election.candidates}
     for group in election.ballots:
-        for _ in range(group.multiplicity):
-            scores = list(group.scores)
-            if not scores:
+        scores = list(group.scores)
+        if not scores:
+            continue
+        if system == "nrv":
+            hi, lo = max(scores), min(scores)
+            if hi == lo:
                 continue
-            if system == "nrv":
-                hi, lo = max(scores), min(scores)
-                if hi == lo:
-                    continue
-                row = [Fraction(election.k * (s - lo), hi - lo) for s in scores]
-            else:
-                row = [Fraction(s) for s in scores]
-            for c, v in zip(election.candidates, row):
-                totals[c] += v
+            row = [Fraction(election.k * (s - lo), hi - lo) for s in scores]
+        else:
+            row = [Fraction(s) for s in scores]
+        for c, v in zip(election.candidates, row):
+            totals[c] += group.multiplicity * v
     return totals
 
 
@@ -84,6 +86,11 @@ def _expand_voters(election: Election) -> list[tuple[int, ...]]:
 
 def _with_voters(election: Election, voters: list[tuple[int, ...]]) -> Election:
     return Election.from_rows(election.k, election.candidates, [(1, v) for v in voters])
+
+
+def _with_groups(election: Election, groups: list[tuple[int, tuple[int, ...]]]) -> Election:
+    """The election of ``(multiplicity, scores)`` groups; empty groups are dropped."""
+    return Election.from_rows(election.k, election.candidates, [(m, v) for m, v in groups if m])
 
 
 def _goal(instance: ControlInstance, winner: str | None) -> bool:
@@ -166,7 +173,8 @@ def brute_control(instance: ControlInstance) -> bool:
 
 def _voter_action_met(instance: ControlInstance, counts: tuple[int, ...]) -> bool:
     """Whether one voter action (take, remove or split counts per group) meets the goal,
-    judged on expanded voter lists."""
+    judged by :func:`brute_tally` on the voters it leaves (kept as groups when removing
+    or splitting, so that multiplicities may be huge)."""
     base = instance.base
     system = instance.system
     if instance.family == ADD_VOTERS:
@@ -174,15 +182,28 @@ def _voter_action_met(instance: ControlInstance, counts: tuple[int, ...]) -> boo
         for take, g in zip(counts, instance.pool):
             voters.extend([g.scores] * take)
         return _goal(instance, brute_unique_winner(_with_voters(base, voters), system))
-    kept, first = [], []
-    for n, g in zip(counts, base.ballots):
-        first.extend([g.scores] * n)
-        kept.extend([g.scores] * (g.multiplicity - n))
+    first = [(n, g.scores) for n, g in zip(counts, base.ballots)]
+    kept = [(g.multiplicity - n, g.scores) for n, g in zip(counts, base.ballots)]
     if instance.family == DELETE_VOTERS:
-        return _goal(instance, brute_unique_winner(_with_voters(base, kept), system))
-    d1 = _survivors(_with_voters(base, first), system, instance.tie_model)
-    d2 = _survivors(_with_voters(base, kept), system, instance.tie_model)
+        return _goal(instance, brute_unique_winner(_with_groups(base, kept), system))
+    d1 = _survivors(_with_groups(base, first), system, instance.tie_model)
+    d2 = _survivors(_with_groups(base, kept), system, instance.tie_model)
     return _goal(instance, brute_unique_winner(_sub(base, set(d1) | set(d2)), system))
+
+
+def _box(caps):
+    """Every count tuple with ``0 <= counts[i] <= caps[i]``, in ``itertools.product``
+    order; ``product`` itself would first copy each range, which caps near 10^12 forbid."""
+    counts = [0] * len(caps)
+    while True:
+        yield tuple(counts)
+        i = len(caps) - 1
+        while i >= 0 and counts[i] == caps[i]:
+            counts[i] = 0
+            i -= 1
+        if i < 0:
+            return
+        counts[i] += 1
 
 
 def reference_scan(instance: ControlInstance, budget: int | None = None):
@@ -201,7 +222,7 @@ def reference_scan(instance: ControlInstance, budget: int | None = None):
         caps = [g.multiplicity for g in instance.base.ballots]
         cap_sum = sum(caps)
     explored = 0
-    for counts in itertools.product(*(range(cap + 1) for cap in caps)):
+    for counts in _box(caps):
         if sum(counts) > cap_sum:
             continue
         if budget is not None and explored >= budget:
@@ -210,6 +231,51 @@ def reference_scan(instance: ControlInstance, budget: int | None = None):
         if _voter_action_met(instance, counts):
             return True, counts, explored
     return False, None, explored
+
+
+def _capped_vectors(caps, cap_sum):
+    """The odometer's count tuples alone (zero-width moves)."""
+    return (vec for vec, _ in _odometer(caps, cap_sum, [()] * len(caps), ()))
+
+
+def reference_lone_leader(totals: list[int], falls: list[int]) -> int:
+    """The bit of the candidate that tops a side alone throughout a subtree, else 0,
+    by its per-pair definition: a unique top ``a`` whose every margin
+    ``t_a - t_c`` stays positive after falling ``falls[a * n + c]``."""
+    n = len(totals)
+    best = max(totals)
+    tops = [a for a in range(n) if totals[a] == best]
+    if len(tops) != 1:
+        return 0
+    a = tops[0]
+    if all(totals[a] - totals[c] + falls[a * n + c] > 0 for c in range(n) if c != a):
+        return 1 << a
+    return 0
+
+
+def reference_possible_lone_tops(totals: list[int], falls: list[int]) -> list[int]:
+    """Bits of the candidates ``b`` whose every margin ``t_b - t_c`` can still be
+    positive, ``t_c - t_b`` being able to fall by ``falls[c * n + b]``."""
+    n = len(totals)
+    return [
+        1 << b for b in range(n)
+        if all(totals[b] - totals[c] - falls[c * n + b] > 0 for c in range(n) if c != b)
+    ]
+
+
+def hitting_set_exhaustive(hs: HittingSetInstance) -> OracleResult:
+    """Plain subset enumeration; cross-check for the branch-and-bound oracle."""
+    order = {e: i for i, e in enumerate(hs.universe)}
+    masks = [sum({1 << order[e] for e in s}) for s in hs.sets]
+    for size in range(hs.n + 1):
+        for combo in itertools.combinations(range(hs.n), size):
+            chosen = 0
+            for i in combo:
+                chosen |= 1 << i
+            if all(sm & chosen for sm in masks):
+                witness = tuple(hs.universe[i] for i in combo)
+                return OracleResult(size <= hs.k, witness if size <= hs.k else (), size)
+    raise AssertionError("unreachable: the full universe hits every set")
 
 
 def brute_hitting_set(universe, sets, k) -> bool:

@@ -45,10 +45,13 @@ from rangecontrol.control import (
     solve_runoff_partition_candidates,
     subelection_survivors,
     _capped_counts,
-    _capped_vectors,
     _count_capped_vectors,
+    _lone_leader,
+    _margin_lines,
     _odometer,
+    _possible_lone_tops,
     _subset_winners,
+    _suffix_falls,
 )
 from rangecontrol.elections import (
     NRV,
@@ -69,7 +72,13 @@ from rangecontrol.gadgets import (
 )
 from rangecontrol.harness import gen_random_control_instance, gen_random_election
 
-from helpers import brute_control, reference_scan
+from helpers import (
+    _capped_vectors,
+    brute_control,
+    reference_lone_leader,
+    reference_possible_lone_tops,
+    reference_scan,
+)
 
 
 def election(k, cands, rows):
@@ -727,6 +736,31 @@ class TestPrunedScan:
             assert out.explored == search_space(inst)
             assert evaluated[0] * share < out.explored, (evaluated[0], out.explored)
 
+    def test_extreme_multiplicities_match_the_unpruned_reference(self, monkeypatch):
+        # totals and margins near 10^13 and beyond: the bounds stay exact integers,
+        # and the margin tables' diagonal guards stay out of every min and max
+        evaluated = count_evaluations(monkeypatch)
+        rng = random.Random("extreme")
+        witnesses = explored = 0
+        for _ in range(12):
+            k = rng.randint(1, 7)
+            cands = ("w", "a", "b", "c")[: rng.randint(1, 4)]
+            rows = [(rng.choice((1, 2, 7, 10**3, 10**6 + 1, 10**12 - 1, 10**12)),
+                     tuple(rng.randint(0, k) for _ in cands)) for _ in range(rng.randint(1, 3))]
+            base = election(k, cands, rows)
+            for goal, system, tie_model in itertools.product(
+                (CONSTRUCTIVE, DESTRUCTIVE), (RV, NRV), (TIES_PROMOTE, TIES_ELIMINATE)
+            ):
+                variant = ControlInstance(base=base, family=PARTITION_VOTERS, goal=goal,
+                                          system=system, distinguished="w", tie_model=tie_model)
+                for budget in (0, 1, 3, 30, 150):
+                    out = solve(variant, budget=budget)
+                    expected = reference_scan(variant, budget)
+                    assert (out.decision, out.witness, out.explored) == expected, (variant, budget)
+                witnesses += out.decision is True
+                explored += out.explored
+        assert witnesses and evaluated[0] < explored // 2
+
 
 def record_evaluations(monkeypatch) -> list:
     """Make every later scan append each action it evaluates to the returned list."""
@@ -813,6 +847,39 @@ class TestMirrorSkip:
         assert_no_mirror_evaluated(evaluated, [g.multiplicity for g in partition.base.ballots])
         # the margin bounds alone leave about one vector in six to evaluate
         assert len(evaluated) * 10 < out.explored
+        assert (len(evaluated), out.explored) == (9065, 107520)
+
+
+class TestMarginLines:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_the_leader_and_top_tests_match_their_per_pair_definitions(self, n):
+        # side 1 reads the falls table by rows, side 2 by columns (its transpose)
+        rng = random.Random(f"margin-lines:{n}")
+        leaders = tops = 0
+        for _ in range(30):
+            k = rng.randint(1, 7)
+            vectors = [tuple(rng.randint(0, k) for _ in range(n)) for _ in range(rng.randint(1, 4))]
+            rows, _ = integer_rows(vectors, k, rng.choice((RV, NRV)))
+            mults = [rng.choice((0, 1, 2, 5, 10**6, 10**12)) for _ in rows]
+            ceiling = sum(m * max(row) for m, row in zip(mults, rows))
+            deltas = [[row[a] - row[c] for a in range(n) for c in range(n)] for row in rows]
+            falls, _ = _suffix_falls(mults, deltas, n * n)
+            for table, (lead_rows, lead_columns, top_rows, top_columns) in zip(
+                falls, _margin_lines(rows, mults, n)
+            ):
+                transposed = [table[c * n + a] for a in range(n) for c in range(n)]
+                for _ in range(8):
+                    values = (0, ceiling, rng.randint(0, ceiling), rng.randint(0, ceiling))
+                    totals = [rng.choice(values) for _ in range(n)]
+                    for falls_of, lead, top in ((table, lead_rows, top_columns),
+                                                (transposed, lead_columns, top_rows)):
+                        leader = reference_lone_leader(totals, falls_of)
+                        possible = reference_possible_lone_tops(totals, falls_of)
+                        assert _lone_leader(totals, lead) == leader, (totals, falls_of)
+                        assert _possible_lone_tops(totals, top) == possible, (totals, falls_of)
+                        leaders += leader != 0
+                        tops += 0 < len(possible) < n
+        assert leaders and (tops or n == 1)
 
 
 class TestPinnedOutputs:

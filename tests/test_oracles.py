@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from rangecontrol.gadgets import GadgetError, HittingSetInstance, X3CInstance
 from rangecontrol.harness import gen_random_hs
 from rangecontrol.oracles import (
-    hitting_set_exhaustive,
     solve_hitting_set,
     solve_x3c,
     validate_restricted_hs,
 )
 
-from helpers import brute_hitting_set, brute_x3c
+from helpers import brute_hitting_set, brute_x3c, hitting_set_exhaustive
 
 
 def hs(universe, sets, k):
