@@ -51,7 +51,6 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .elections import (
-    NRV,
     RV,
     SYSTEMS,
     BallotGroup,
@@ -377,43 +376,42 @@ def _odometer(
     cap_sum: int,
     moves: Sequence[Sequence[int]],
     start: Sequence[int],
-    dead: Callable[[int, list[int], list[int], int], bool] | None = None,
-) -> Iterator[tuple]:
-    """All per-group count tuples with sum <= cap_sum, lexicographic order, each
-    with its totals ``start + sum(count_i * moves[i])`` as a fresh list.
+    dead: Callable[[int, list[int], list[int], int], bool],
+) -> Iterator[tuple[int, tuple | None]]:
+    """``_scan`` steps over the per-group count tuples with sum <= cap_sum, in
+    lexicographic order: ``(1, (vec, totals))`` for a tuple and its totals
+    ``start + sum(count_i * moves[i])`` as a fresh list, ``(size, None)`` for
+    a subtree that ``dead`` proves holds no success.
 
     An odometer with the first group most significant: each step bumps the
     last entry that can still grow, adding its move to the totals, and zeroes
     the entries after it, subtracting ``c * move`` for each one that held ``c``.
 
     A tuple whose entries from ``d`` on are zero is the first of the subtree
-    that fixes entries ``0..d-1``.  With ``dead``, each such subtree is put
-    to ``dead(d, vec, totals, room)``, largest first, ``vec`` being that
-    first tuple (only ``vec[:d]`` is fixed; it is the odometer's own list,
-    to read, not keep) and ``room`` what the fixed entries leave of
-    ``cap_sum``; a subtree it proves holds no success is yielded as
-    ``(size, None)``, its number of tuples, and walked no further.
+    that fixes entries ``0..d-1``.  Each such subtree is put to
+    ``dead(d, vec, totals, room)``, largest first, ``vec`` being that first
+    tuple (only ``vec[:d]`` is fixed; it is the odometer's own list, to
+    read, not keep) and ``room`` what the fixed entries leave of
+    ``cap_sum``; a subtree it proves dead is yielded with its number of
+    tuples as its size, and walked no further.
     """
     levels = len(caps)
-    sizes = list(_capped_counts(caps, cap_sum))[::-1] if dead else []
+    sizes = list(_capped_counts(caps, cap_sum))[::-1]
     vec = [0] * levels
     totals = list(start)
     room = cap_sum
     free = 0  # entries from `free` on are zero: vec starts a subtree at each level >= free
     while True:
-        if dead:
-            while free < levels:
-                lo, row = sizes[free]
-                size = row[min(room - lo, len(row) - 1)]
-                if size > 1 and dead(free, vec, totals, room):
-                    break
-                free += 1
-        else:
-            free = levels
+        while free < levels:
+            lo, row = sizes[free]
+            size = row[min(room - lo, len(row) - 1)]
+            if size > 1 and dead(free, vec, totals, room):
+                break
+            free += 1
         if free < levels:
             yield size, None
         else:
-            yield tuple(vec), totals
+            yield 1, (tuple(vec), totals)
         i = free - 1
         while i >= 0 and (not room or vec[i] == caps[i]):
             held, vec[i] = vec[i], 0
@@ -473,8 +471,7 @@ def _each(actions: Iterable) -> Iterator[tuple[int, object]]:
 
 def _scan_counts(walk: Iterable[tuple], evaluate: Callable, budget: int | None) -> ControlOutcome:
     """``_scan`` over an odometer walk; the witness is the count tuple."""
-    steps = ((1, item) if item[1] is not None else (item[0], None) for item in walk)
-    out = _scan(steps, evaluate, budget)
+    out = _scan(walk, evaluate, budget)
     return ControlOutcome(out.decision, out.witness[0] if out.decision else None, out.explored)
 
 

@@ -37,7 +37,6 @@ __all__ = [
     "RV",
     "NRV",
     "SYSTEMS",
-    "Score",
     "InvalidElection",
     "BallotGroup",
     "Election",
@@ -56,11 +55,6 @@ __all__ = [
 RV = "rv"
 NRV = "nrv"
 SYSTEMS = (RV, NRV)
-
-# Exact rational score value.  Tally totals and normalized ballot entries
-# are Fractions; raw ballot scores and the rows of ``integer_rows`` (scaled
-# by ``L``) are ints.
-Score = Fraction
 
 
 class InvalidElection(ValueError):

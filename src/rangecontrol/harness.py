@@ -11,8 +11,7 @@ Two kinds of failure are kept apart on purpose: the gadget's claim
 stated intermediate score formulas.  A gadget can pass equivalence
 while a stated total deviates; both facts are reported independently --
 the agreement flag and counterexample list track the claim, the
-identity-failure list tracks the formulas.  ``MUST_PASS_IDENTITIES``
-names the gadgets whose identity-failure list is expected to be empty.
+identity-failure list tracks the formulas.
 
 Reports are pure functions of (spec, seed): records are assembled in
 enumeration order and serialized with a canonical text and a JSONL
@@ -32,7 +31,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from . import control as ctl
 from .control import ControlInstance, describe, solve
-from .elections import NRV, BallotGroup, Election, project, take_voters, tally
+from .elections import NRV, RV, BallotGroup, Election, project, take_voters, tally
 from .gadgets import (
     GadgetError,
     GadgetOutput,
@@ -99,13 +98,6 @@ DEFAULT_CHECKS = {
     "hs-destructive-candidate-partition": ("equivalence", "identities"),
 }
 
-# gadgets whose score assertions are hard requirements: their audits are
-# expected to show an empty identity-failure list (the remaining gadgets'
-# assertions are soft and their failures are merely recorded)
-MUST_PASS_IDENTITIES = frozenset(
-    {"hs-candidates", "rhs-voter-partition-tp", "hs-destructive-candidate-partition"}
-)
-
 
 @dataclass(frozen=True)
 class AuditSpec:
@@ -113,10 +105,12 @@ class AuditSpec:
 
     Exhaustive mode sweeps (n, m, k) / (k, set-count) bounds in
     ascending order; random mode draws ``trials`` instances from the
-    same bounds with a deterministic per-trial seed.  For the
-    deletion-to-candidate-partition gadget the source family is random
-    elections shaped by the ``source_*`` fields.  ``checks`` picks from
-    the gadget's ``DEFAULT_CHECKS`` entry and defaults to all of it.
+    same bounds with a deterministic per-trial seed.  The
+    deletion-to-candidate-partition gadget is audited on random sources
+    only: range-2 elections of 2-4 candidates and at most 4 ballot groups
+    of at most 3 voters, a distinguished candidate, and a deletion limit
+    of 1 or 2, below the candidate count.  ``checks`` picks from the
+    gadget's ``DEFAULT_CHECKS`` entry and defaults to all of it.
     """
 
     gadget: str
@@ -130,9 +124,6 @@ class AuditSpec:
     budget: int | None = None
     checks: tuple[str, ...] = ()
     isomorphism_free: bool = True
-    source_candidates: tuple[int, int] = (2, 4)
-    source_groups: tuple[int, int] = (1, 4)
-    source_limit: tuple[int, int] = (1, 2)
 
     def __post_init__(self) -> None:
         if self.gadget not in GADGET_NAMES:
@@ -177,12 +168,26 @@ class InstanceRecord:
 
 @dataclass(frozen=True)
 class AuditReport:
+    """An audit's records; its summary is read off them."""
+
     spec: AuditSpec
     records: tuple[InstanceRecord, ...]
-    agreement: bool
-    counterexamples: tuple[int, ...] = ()
-    identity_failures: tuple[int, ...] = ()
-    budget_exceeded: tuple[int, ...] = ()
+
+    @property
+    def counterexamples(self) -> tuple[int, ...]:
+        return tuple(r.index for r in self.records if r.status == "disagree")
+
+    @property
+    def budget_exceeded(self) -> tuple[int, ...]:
+        return tuple(r.index for r in self.records if r.status == "budget-exceeded")
+
+    @property
+    def identity_failures(self) -> tuple[int, ...]:
+        return tuple(r.index for r in self.records if not all(i.passed for i in r.identities))
+
+    @property
+    def agreement(self) -> bool:
+        return not self.counterexamples
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +284,7 @@ def gen_random_control_instance(seed: int, max_actions: int = 30000) -> ControlI
         if not base.ballots and family in (ctl.DELETE_VOTERS, ctl.PARTITION_VOTERS):
             continue
         goal = rng.choice((ctl.CONSTRUCTIVE, ctl.DESTRUCTIVE))
-        system = rng.choice((ctl.RV, ctl.NRV))
+        system = rng.choice((RV, NRV))
         cands = base.candidates
         distinguished = rng.choice(cands)
         kwargs = {}
@@ -549,6 +554,14 @@ def _build_or_none(gadget_name: str, source) -> GadgetOutput | None:
         return None
 
 
+def _encode(gadget_name: str, source) -> str:
+    if gadget_name == _DELETION:
+        return encode_deletion_source(*source)
+    if gadget_name == _X3C:
+        return encode_x3c(source)
+    return encode_hs(source)
+
+
 def _decode(gadget_name: str, encoding: str):
     if gadget_name == _DELETION:
         return decode_deletion_source(encoding)
@@ -706,90 +719,63 @@ def replay_instance(
 def _sources(spec: AuditSpec) -> Iterator[tuple[str, object, GadgetOutput]]:
     """(encoding, source, gadget) per record in report order; each gadget is built once."""
     name = spec.gadget
-    if name == _DELETION:
-        if spec.mode != "random":
-            raise ValueError("the deletion gadget audit samples random source elections")
-        for trial in range(spec.trials):
-            source = _random_deletion_source(spec, trial)
-            yield encode_deletion_source(*source), source, build_gadget(name, source)
-    elif name == _X3C:
-        if spec.mode == "exhaustive":
-            sources = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
-        else:
-            sources = (_random_x3c(spec, trial) for trial in range(spec.trials))
-        for x3c in sources:
-            yield encode_x3c(x3c), x3c, build_gadget(name, x3c)
-    elif spec.mode == "exhaustive":
-        for hs in exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free):
-            gadget = _build_or_none(name, hs)
-            if gadget is not None:
-                yield encode_hs(hs), hs, gadget
+    if spec.mode == "random":
+        sources = (_draw(spec, trial) for trial in range(spec.trials))
+    elif name == _DELETION:
+        raise ValueError("the deletion gadget audit samples random source elections")
     else:
-        for trial in range(spec.trials):
-            hs, gadget = _random_hs_source(spec, trial)
-            yield encode_hs(hs), hs, gadget
-
-
-def _random_x3c(spec: AuditSpec, trial: int) -> X3CInstance:
-    rng = _rng("audit", spec.seed, trial)
-    k = rng.randint(*spec.k)
-    count = rng.randint(max(k, spec.sets[0]), max(k, spec.sets[1]))
-    return gen_random_x3c(k, count, rng.randrange(1 << 30))
-
-
-def _random_hs_source(spec: AuditSpec, trial: int) -> tuple[HittingSetInstance, GadgetOutput]:
-    for attempt in range(500):
-        rng = _rng("audit", spec.seed, trial, attempt)
-        n = rng.randint(*spec.n)
-        m = rng.randint(*spec.m)
-        k = rng.randint(spec.k[0], min(spec.k[1], n))
-        try:
-            hs = gen_random_hs(n, m, k, rng.randrange(1 << 30))
-        except ValueError:
-            continue
-        gadget = _build_or_none(spec.gadget, hs)
+        if name == _X3C:
+            swept = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
+        else:
+            swept = exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free)
+        sources = ((source, _build_or_none(name, source)) for source in swept)
+    for source, gadget in sources:
         if gadget is not None:
-            return hs, gadget
-    raise ValueError(f"could not sample a valid instance for {spec.gadget}")
+            yield _encode(name, source), source, gadget
 
 
-def _random_deletion_source(spec: AuditSpec, trial: int) -> tuple[Election, str, int]:
+def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
+    """One random trial's source and gadget.  A hitting-set or deletion draw is
+    redrawn, seeded by (trial, attempt), until it is valid and its gadget builds;
+    an x3c draw is one shot, seeded by the trial: ``gen_random_x3c`` retries by
+    itself and the x3c gadget takes every instance."""
+    name = spec.gadget
     for attempt in range(500):
-        rng = _rng("audit", spec.seed, trial, attempt)
-        n_cands = rng.randint(*spec.source_candidates)
-        source = gen_random_election(
-            rng.randrange(1 << 30),
-            max_candidates=n_cands,
-            max_groups=spec.source_groups[1],
-            k=2,
-            max_multiplicity=3,
-        )
-        if len(source.candidates) < 2:
-            continue
-        w = rng.choice(source.candidates)
-        limit = rng.randint(
-            spec.source_limit[0],
-            min(spec.source_limit[1], len(source.candidates) - 1),
-        )
-        return source, w, limit
-    raise ValueError("could not sample a deletion source")
+        if name == _X3C:
+            rng = _rng("audit", spec.seed, trial)
+            k = rng.randint(*spec.k)
+            count = rng.randint(max(k, spec.sets[0]), max(k, spec.sets[1]))
+            source = gen_random_x3c(k, count, rng.randrange(1 << 30))
+        else:
+            rng = _rng("audit", spec.seed, trial, attempt)
+            try:  # a ValueError marks an invalid draw: an empty range or a bad instance
+                if name == _DELETION:
+                    most = rng.randint(2, 4)
+                    election = gen_random_election(
+                        rng.randrange(1 << 30), max_candidates=most, max_groups=4, k=2,
+                        max_multiplicity=3,
+                    )
+                    w = rng.choice(election.candidates)
+                    source = election, w, rng.randint(1, min(2, len(election.candidates) - 1))
+                else:
+                    n = rng.randint(*spec.n)
+                    m = rng.randint(*spec.m)
+                    k = rng.randint(spec.k[0], min(spec.k[1], n))
+                    source = gen_random_hs(n, m, k, rng.randrange(1 << 30))
+            except ValueError:
+                continue
+        gadget = _build_or_none(name, source)
+        if gadget is not None:
+            return source, gadget
+    raise ValueError(f"could not sample a valid instance for {name}")
 
 
 def audit_gadget(spec: AuditSpec) -> AuditReport:
     """Run the audit described by ``spec`` and assemble a deterministic report."""
-    records = tuple(
+    return AuditReport(spec, tuple(
         _record(index, encoding, source, gadget, spec)
         for index, (encoding, source, gadget) in enumerate(_sources(spec))
-    )
-    counterexamples = tuple(r.index for r in records if r.status == "disagree")
-    identity_failures = tuple(
-        r.index for r in records if any(not i.passed for i in r.identities)
-    )
-    budget_exceeded = tuple(r.index for r in records if r.status == "budget-exceeded")
-    agreement = not counterexamples
-    return AuditReport(
-        spec, records, agreement, counterexamples, identity_failures, budget_exceeded
-    )
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -233,9 +233,14 @@ def reference_scan(instance: ControlInstance, budget: int | None = None):
     return False, None, explored
 
 
+def never_dead(*_) -> bool:
+    """An odometer ``dead`` predicate that prunes nothing."""
+    return False
+
+
 def _capped_vectors(caps, cap_sum):
-    """The odometer's count tuples alone (zero-width moves)."""
-    return (vec for vec, _ in _odometer(caps, cap_sum, [()] * len(caps), ()))
+    """The odometer's count tuples alone (zero-width moves, nothing pruned)."""
+    return (vec for _, (vec, _) in _odometer(caps, cap_sum, [()] * len(caps), (), never_dead))
 
 
 def reference_lone_leader(totals: list[int], falls: list[int]) -> int:

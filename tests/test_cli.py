@@ -388,6 +388,14 @@ class TestVerify:
         assert "n: 6..7\nm: 1..2\nk: 1..1\n" in out
         assert "instances: 2\nagreement: true\n" in out
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_redraws_an_n_below_the_k_lower_bound(self, seed):
+        # n = 2 leaves k = 3 no room, so such a draw is redrawn rather than failing
+        code, out, err = cli("verify", "--gadget", "hs-candidates", "--random", "5",
+                             "--bounds", "n=2..5,k=3", "--seed", str(seed))
+        assert (code, err) == (0, "")
+        assert "instances: 5\n" in out
+
     @pytest.mark.parametrize("args", [
         ("--random", "2", "--bounds", "q<=4"),
         ("--random", "2", "--bounds", "n=3..1"),

@@ -75,6 +75,7 @@ from rangecontrol.harness import gen_random_control_instance, gen_random_electio
 from helpers import (
     _capped_vectors,
     brute_control,
+    never_dead,
     reference_lone_leader,
     reference_possible_lone_tops,
     reference_scan,
@@ -618,7 +619,8 @@ class TestOdometer:
         for cap_sum in range(sum(caps) + 1):
             moves = [[rng.randint(-5, 5) for _ in range(3)] for _ in caps]
             start = [rng.randint(-20, 20) for _ in range(3)]
-            pairs = [(vec, list(totals)) for vec, totals in _odometer(caps, cap_sum, moves, start)]
+            walk = _odometer(caps, cap_sum, moves, start, never_dead)
+            pairs = [(vec, list(totals)) for _, (vec, totals) in walk]
             box = itertools.product(*(range(c + 1) for c in caps))
             assert [vec for vec, _ in pairs] == [v for v in box if sum(v) <= cap_sum]
             assert [vec for vec, _ in pairs] == list(_capped_vectors(caps, cap_sum))
@@ -629,7 +631,8 @@ class TestOdometer:
         # partition-voters scans split vectors with cap_sum = sum(mults)
         caps = (2, 0, 3, 1)
         rows = [(1, 0, 2), (0, 4, 1), (3, 3, 0), (0, 0, 5)]
-        pairs = [(vec, list(totals)) for vec, totals in _odometer(caps, sum(caps), rows, [0] * 3)]
+        walk = _odometer(caps, sum(caps), rows, [0] * 3, never_dead)
+        pairs = [(vec, list(totals)) for _, (vec, totals) in walk]
         assert [vec for vec, _ in pairs] == list(itertools.product(*(range(c + 1) for c in caps)))
         for vec, totals in pairs:
             assert totals == weighted_sums(rows, vec, [0] * 3)
