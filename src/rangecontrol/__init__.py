@@ -26,8 +26,6 @@ from .elections import (
     tally,
 )
 from .gadgets import GadgetOutput, HittingSetInstance, X3CInstance
-from .harness import AuditReport, AuditSpec, audit_gadget, check_score_identities
-from .oracles import solve_hitting_set, solve_x3c, validate_restricted_hs
 
 __version__ = "0.1.0"
 
@@ -59,3 +57,16 @@ __all__ = [
     "check_score_identities",
     "__version__",
 ]
+
+# exports of the audit modules, loaded on first use (PEP 562) so that
+# ``rangecontrol control`` and ``tally`` never import them
+_HARNESS = ("AuditSpec", "AuditReport", "audit_gadget", "check_score_identities")
+_ORACLES = ("solve_hitting_set", "solve_x3c", "validate_restricted_hs")
+
+
+def __getattr__(name: str):
+    if name not in _HARNESS + _ORACLES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import harness, oracles
+
+    return getattr(harness if name in _HARNESS else oracles, name)

@@ -15,10 +15,8 @@ from dataclasses import replace
 from typing import Sequence, TextIO
 
 from . import control as ctl
-from . import fileio, harness
+from . import fileio
 from .elections import SYSTEMS, tally
-from .gadgets import GadgetError, X3CInstance
-from .oracles import solve_hitting_set, solve_x3c
 
 __all__ = ["run_cli", "main", "RESISTANCE_TABLE", "MAX_UNBUDGETED_SPACE"]
 
@@ -55,72 +53,105 @@ _WITNESS_LABEL = {
 }
 
 
+def _tally_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--system", choices=SYSTEMS, required=True)
+    p.add_argument("file")
+
+
+def _control_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--system", choices=SYSTEMS, default=None,
+                   help="override the file's system (defaults to rv)")
+    p.add_argument("--witness", action="store_true")
+    p.add_argument("--budget", type=int, default=None,
+                   help=f"stop after N actions; needed above {MAX_UNBUDGETED_SPACE}")
+    p.add_argument("--workers", type=int, default=1,
+                   help="accepted for compatibility; has no effect, "
+                        "since every solve runs in one thread")
+    p.add_argument("file")
+
+
+def _gadget_arguments(p: argparse.ArgumentParser) -> None:
+    from .harness import GADGET_NAMES
+
+    p.add_argument("type", choices=sorted(GADGET_NAMES))
+    p.add_argument("file")
+    p.add_argument("-o", "--output", required=True)
+    p.add_argument("--instance", type=int, default=0,
+                   help="which emitted control instance to embed (default 0)")
+
+
+def _oracle_arguments(p: argparse.ArgumentParser) -> None:
+    p.add_argument("file")
+
+
+def _verify_arguments(p: argparse.ArgumentParser) -> None:
+    from .harness import GADGET_NAMES
+
+    p.add_argument("--gadget", choices=GADGET_NAMES, required=True)
+    mode = p.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--exhaustive", metavar="BOUNDS",
+                      help="e.g. 'n<=4,m=2..3,k<=2' (s=... bounds the x3c set count)")
+    mode.add_argument("--random", type=int, metavar="TRIALS")
+    p.add_argument("--bounds", metavar="BOUNDS",
+                   help="the bounds --random samples from, as for --exhaustive")
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--all-instances", action="store_true",
+                   help="disable isomorphism-free deduplication")
+    p.add_argument("--format", choices=("text", "jsonl"), default="text")
+    p.add_argument("-o", "--output", default=None)
+
+
+# command -> (help, the function that adds its arguments); the one declaration of each
+_COMMANDS = {
+    "tally": ("tally an election file", _tally_arguments),
+    "control": ("decide a control instance file", _control_arguments),
+    "gadget": ("compile an NP instance into a gadget election", _gadget_arguments),
+    "oracle": ("solve a hitting-set or exact-cover file", _oracle_arguments),
+    "verify": ("audit a gadget against its oracle", _verify_arguments),
+    "table": ("print reported control classifications", lambda p: None),
+}
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangecontrol",
         description="Exact range-voting control toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_tally = sub.add_parser("tally", help="tally an election file")
-    p_tally.add_argument("--system", choices=SYSTEMS, required=True)
-    p_tally.add_argument("file")
-
-    p_control = sub.add_parser("control", help="decide a control instance file")
-    p_control.add_argument("--system", choices=SYSTEMS, default=None,
-                           help="override the file's system (defaults to rv)")
-    p_control.add_argument("--witness", action="store_true")
-    p_control.add_argument("--budget", type=int, default=None,
-                           help=f"stop after N actions; needed above {MAX_UNBUDGETED_SPACE}")
-    p_control.add_argument("--workers", type=int, default=1,
-                           help="accepted for compatibility; has no effect, "
-                                "since every solve runs in one thread")
-    p_control.add_argument("file")
-
-    p_gadget = sub.add_parser("gadget", help="compile an NP instance into a gadget election")
-    p_gadget.add_argument("type", choices=sorted(harness.GADGET_NAMES))
-    p_gadget.add_argument("file")
-    p_gadget.add_argument("-o", "--output", required=True)
-    p_gadget.add_argument("--instance", type=int, default=0,
-                          help="which emitted control instance to embed (default 0)")
-
-    p_oracle = sub.add_parser("oracle", help="solve a hitting-set or exact-cover file")
-    p_oracle.add_argument("file")
-
-    p_verify = sub.add_parser("verify", help="audit a gadget against its oracle")
-    p_verify.add_argument("--gadget", choices=harness.GADGET_NAMES, required=True)
-    mode = p_verify.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--exhaustive", metavar="BOUNDS",
-                      help="e.g. 'n<=4,m=2..3,k<=2' (s=... bounds the x3c set count)")
-    mode.add_argument("--random", type=int, metavar="TRIALS")
-    p_verify.add_argument("--bounds", metavar="BOUNDS",
-                          help="the bounds --random samples from, as for --exhaustive")
-    p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--budget", type=int, default=None)
-    p_verify.add_argument("--all-instances", action="store_true",
-                          help="disable isomorphism-free deduplication")
-    p_verify.add_argument("--format", choices=("text", "jsonl"), default="text")
-    p_verify.add_argument("-o", "--output", default=None)
-
-    sub.add_parser("table", help="print reported control classifications")
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """``_build_parser().parse_args(argv)``, building only the named command's parser.
+
+    That parser is the one ``add_parser`` makes for the command, so it parses
+    and fails as the full tree does.  Arguments it leaves over are re-parsed
+    with the full tree, whose error names them under the top-level usage.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"rangecontrol {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _build_parser().parse_args(argv)
 
 
 def run_cli(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
     """Run one command; returns the process exit status."""
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
         return _dispatch(args, out, err)
-    except (fileio.ParseError, GadgetError, ctl.InvalidInstance, ValueError) as exc:
-        print(f"error: {exc}", file=err)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ParseError, GadgetError, InvalidInstance included
         print(f"error: {exc}", file=err)
         return 2
 
@@ -217,6 +248,8 @@ def _gadget_source(gadget_name: str, text: str):
 
 
 def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from . import harness
+
     text = _read(args.file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -241,6 +274,9 @@ def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
 
 
 def _cmd_oracle(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
+    from .gadgets import X3CInstance
+    from .oracles import solve_hitting_set, solve_x3c
+
     text = _read(args.file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -292,6 +328,8 @@ _BOUND_FIELDS = {"n": "n", "m": "m", "k": "k", "s": "sets"}
 
 
 def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+    from . import harness
+
     if args.exhaustive is not None:
         if args.bounds is not None:
             raise ValueError("--bounds goes with --random; --exhaustive takes its bounds itself")

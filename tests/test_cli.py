@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import contextlib
 import io
 import os
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 
 import rangecontrol
 from rangecontrol import control
-from rangecontrol.cli import run_cli
+from rangecontrol.cli import _build_parser, _parse, run_cli
 from rangecontrol.fileio import parse_election
 
 from helpers import reference_scan
@@ -396,6 +397,14 @@ class TestVerify:
         assert (code, err) == (0, "")
         assert "instances: 5\n" in out
 
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_redraws_an_x3c_draw_that_cannot_cover(self, seed):
+        # 4 random triples almost never cover 12 elements, so unplanted draws fail
+        code, out, err = cli("verify", "--gadget", "x3c-voter-partition-te", "--random", "4",
+                             "--bounds", "k=4,s=4", "--seed", str(seed), "--budget", "10")
+        assert (code, err) == (0, "")
+        assert "instances: 4\n" in out
+
     @pytest.mark.parametrize("args", [
         ("--random", "2", "--bounds", "q<=4"),
         ("--random", "2", "--bounds", "n=3..1"),
@@ -429,3 +438,58 @@ class TestTableAndUsage:
     def test_missing_file(self):
         code, _, err = cli("tally", "--system", "rv", "/nonexistent/e.txt")
         assert code == 2
+
+
+def _parsed(parse, argv):
+    """``parse(argv)``'s Namespace or exit code, with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+class TestParse:
+    @pytest.mark.parametrize("argv", [
+        ["tally", "--system", "nrv", "e.txt"],
+        ["control", "e.txt"],
+        ["control", "--witness", "--budget", "5", "--system", "rv", "--workers", "2", "e.txt"],
+        ["gadget", "hs-candidates", "hs.txt", "-o", "g.txt", "--instance", "1"],
+        ["oracle", "hs.txt"],
+        ["verify", "--gadget", "hs-candidates", "--exhaustive", "n<=3"],
+        ["verify", "--gadget", "x3c-voter-partition-te", "--random", "4", "--bounds", "k=2",
+         "--seed", "3", "--budget", "9", "--all-instances", "--format", "jsonl", "-o", "r"],
+        ["table"],
+        ["-h"], ["--help"], ["control", "-h"], ["tally", "--help"], ["gadget", "-h"],
+        ["oracle", "-h"], ["verify", "-h"], ["table", "-h"],
+        [], ["bogus"], ["bogus", "x"], ["-x", "control", "e.txt"],
+        ["control", "a", "b"], ["table", "extra"], ["tally", "--system", "rv", "e.txt", "--x"],
+        ["tally"], ["tally", "e.txt"], ["gadget", "hs-candidates", "hs.txt"], ["control"],
+        ["control", "--system", "approval", "e.txt"],
+        ["control", "--budget", "x", "e.txt"], ["verify", "--gadget", "hs-candidates"],
+        ["verify", "--gadget", "hs-candidates", "--exhaustive", "n<=2", "--random", "3"],
+        ["control", "--", "-x"],
+    ], ids=lambda argv: " ".join(argv) or "no-arguments")
+    def test_parses_and_fails_as_the_full_tree(self, argv):
+        expected = _parsed(_build_parser().parse_args, argv)
+        assert _parsed(_parse, argv) == expected
+
+    def test_control_loads_no_audit_module(self, destructive_add_path):
+        src = str(Path(rangecontrol.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "rangecontrol", "control",
+             destructive_add_path], capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, cli("control", destructive_add_path)[1])
+        imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
+        assert "rangecontrol.control" in imported
+        assert not imported & {"rangecontrol.harness", "rangecontrol.oracles"}
+        lazy = ("import sys, rangecontrol\n"
+                "assert 'rangecontrol.harness' not in sys.modules\n"
+                "from rangecontrol import AuditSpec, solve_x3c\n"
+                "print(AuditSpec.__module__, solve_x3c.__module__)\n")
+        proc = subprocess.run([sys.executable, "-c", lazy],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stdout) == (0, "rangecontrol.harness rangecontrol.oracles\n")
