@@ -9,6 +9,7 @@ over ``MAX_UNBUDGETED_SPACE``, 3 when a control solve ran out of node budget.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 import warnings
 from dataclasses import replace
@@ -102,24 +103,13 @@ def _verify_arguments(p: argparse.ArgumentParser) -> None:
     p.add_argument("-o", "--output", default=None)
 
 
-# command -> (help, the function that adds its arguments); the one declaration of each
-_COMMANDS = {
-    "tally": ("tally an election file", _tally_arguments),
-    "control": ("decide a control instance file", _control_arguments),
-    "gadget": ("compile an NP instance into a gadget election", _gadget_arguments),
-    "oracle": ("solve a hitting-set or exact-cover file", _oracle_arguments),
-    "verify": ("audit a gadget against its oracle", _verify_arguments),
-    "table": ("print reported control classifications", lambda p: None),
-}
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rangecontrol",
         description="Exact range-voting control toolkit.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
         add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
@@ -142,15 +132,19 @@ def _parse(argv: list[str]) -> argparse.Namespace:
 
 
 def run_cli(argv: Sequence[str], stdout: TextIO | None = None, stderr: TextIO | None = None) -> int:
-    """Run one command; returns the process exit status."""
+    """Run one command; returns the process exit status.
+
+    All output, argparse's help and usage errors included, goes to the given streams.
+    """
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
     try:
-        args = _parse(list(argv))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _parse(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args, out, err)
+        return _COMMANDS[args.command][2](args, out, err)
     except (ValueError, OSError) as exc:  # ParseError, GadgetError, InvalidInstance included
         print(f"error: {exc}", file=err)
         return 2
@@ -161,23 +155,7 @@ def _read(path: str) -> str:
         return handle.read()
 
 
-def _dispatch(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
-    if args.command == "tally":
-        return _cmd_tally(args, out)
-    if args.command == "control":
-        return _cmd_control(args, out)
-    if args.command == "gadget":
-        return _cmd_gadget(args, out, err)
-    if args.command == "oracle":
-        return _cmd_oracle(args, out, err)
-    if args.command == "verify":
-        return _cmd_verify(args, out)
-    if args.command == "table":
-        return _cmd_table(out)
-    raise ValueError(f"unknown command {args.command!r}")
-
-
-def _cmd_tally(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_tally(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     parsed = fileio.parse_election(_read(args.file))
     result = tally(parsed.election, args.system)
     for cand in parsed.election.candidates:
@@ -205,7 +183,7 @@ def _refuse_huge_search(instance: ctl.ControlInstance) -> None:
                      "without a budget; pass --budget N to search it anyway")
 
 
-def _cmd_control(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_control(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     parsed = fileio.parse_election(_read(args.file))
     if parsed.instance is None:
         raise fileio.ParseError("the file carries no control-instance section")
@@ -327,7 +305,7 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
 _BOUND_FIELDS = {"n": "n", "m": "m", "k": "k", "s": "sets"}
 
 
-def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
+def _cmd_verify(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from . import harness
 
     if args.exhaustive is not None:
@@ -361,7 +339,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
-def _cmd_table(out: TextIO) -> int:
+def _cmd_table(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     header = f"{'Control by':<34}{'Tie':<5}{'Approval':<10}{'SP-AV':<10}{'Fallback':<10}{'RV':<10}{'NRV':<10}"
     print(header, file=out)
     print(f"{'':<39}" + "C  D     " * 5, file=out)
@@ -376,6 +354,18 @@ def _cmd_table(out: TextIO) -> int:
         file=out,
     )
     return 0
+
+
+# command -> (help, the function that adds its arguments, its handler); the one
+# declaration of each
+_COMMANDS = {
+    "tally": ("tally an election file", _tally_arguments, _cmd_tally),
+    "control": ("decide a control instance file", _control_arguments, _cmd_control),
+    "gadget": ("compile an NP instance into a gadget election", _gadget_arguments, _cmd_gadget),
+    "oracle": ("solve a hitting-set or exact-cover file", _oracle_arguments, _cmd_oracle),
+    "verify": ("audit a gadget against its oracle", _verify_arguments, _cmd_verify),
+    "table": ("print reported control classifications", lambda p: None, _cmd_table),
+}
 
 
 def main() -> None:

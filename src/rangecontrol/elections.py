@@ -153,12 +153,10 @@ class Election:
         k: int,
         candidates: Sequence[str],
         groups: Iterable[tuple[Mapping[str, int], int]],
-        default: int = 0,
     ) -> "Election":
         """Build from ``(candidate->score mapping, multiplicity)`` pairs.
 
-        Candidates missing from a mapping get ``default``; unknown keys
-        are an error.
+        Candidates missing from a mapping score 0; unknown keys are an error.
         """
         cands = tuple(candidates)
         known = set(cands)
@@ -167,7 +165,7 @@ class Election:
             extra = set(mapping) - known
             if extra:
                 raise InvalidElection(f"scores for unknown candidates {sorted(extra)}")
-            rows.append((mult, tuple(mapping.get(c, default) for c in cands)))
+            rows.append((mult, tuple(mapping.get(c, 0) for c in cands)))
         return cls.from_rows(k, cands, rows)
 
 

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 from .control import (
     ADD_VOTERS,
@@ -150,7 +151,7 @@ def parse_election(text: str) -> ParsedElection:
         election = Election(k, tuple(candidates), _ballot_groups(k, candidates, ballot_rows))
     except InvalidElection as exc:
         raise ParseError(str(exc)) from exc
-    instance = _build_instance(election, system, fields, pool_rows, k, candidates)
+    instance = _build_instance(election, system, fields, pool_rows)
     return ParsedElection(election, instance, system)
 
 
@@ -173,7 +174,7 @@ def _parse_ballot_line(line: str, lineno: int) -> tuple[int, int, tuple[int, ...
 
 
 def _ballot_groups(
-    k: int, candidates: list[str], rows: list[tuple[int, int, tuple[int, ...]]]
+    k: int, candidates: Sequence[str], rows: list[tuple[int, int, tuple[int, ...]]]
 ) -> tuple[BallotGroup, ...]:
     """Ballot or pool rows as groups, each checked for width and score range."""
     groups = []
@@ -194,8 +195,6 @@ def _build_instance(
     system: str | None,
     fields: dict[str, tuple[int, str]],
     pool_rows: list,
-    k: int,
-    candidates: list[str],
 ) -> ControlInstance | None:
     if "action" not in fields:
         leftovers = set(fields) | ({"pool"} if pool_rows else set())
@@ -207,40 +206,36 @@ def _build_instance(
     lineno, family = fields.pop("action")
     if family not in FAMILIES:
         raise ParseError(f"unknown action {family!r}", lineno)
-
-    def take(key: str) -> tuple[int, str] | None:
-        return fields.pop(key, None)
-
-    goal_field = take("goal")
+    goal_field = fields.pop("goal", None)
     if goal_field is None:
         raise ParseError("instance needs a goal: header")
     if goal_field[1] not in (CONSTRUCTIVE, DESTRUCTIVE):
         raise ParseError(f"unknown goal {goal_field[1]!r}", goal_field[0])
-    dist_field = take("distinguished")
+    dist_field = fields.pop("distinguished", None)
     if dist_field is None:
         raise ParseError("instance needs a distinguished: header")
-    if dist_field[1] not in candidates:
+    if dist_field[1] not in election.candidates:
         raise ParseError(f"unknown candidate {dist_field[1]!r}", dist_field[0])
-    ties_field = take("ties")
+    ties_field = fields.pop("ties", None)
     tie_model = None
     if ties_field is not None:
         if ties_field[1] not in ("promote", "eliminate"):
             raise ParseError(f"unknown tie model {ties_field[1]!r}", ties_field[0])
         tie_model = ties_field[1]
-    limit_field = take("limit")
+    limit_field = fields.pop("limit", None)
     limit = _parse_int(limit_field[1], "limit", limit_field[0]) if limit_field else None
-    spoiler_field = take("spoilers")
+    spoiler_field = fields.pop("spoilers", None)
     spoilers: tuple[str, ...] = ()
     if spoiler_field is not None:
         spoilers = tuple(spoiler_field[1].split())
-        unknown = [cid for cid in spoilers if cid not in candidates]
+        unknown = [cid for cid in spoilers if cid not in election.candidates]
         if unknown:
             raise ParseError(f"unknown spoiler candidates {unknown}", spoiler_field[0])
     if fields:
         raise ParseError(f"unexpected instance fields {sorted(fields)}")
     if pool_rows and family != ADD_VOTERS:
         raise ParseError("pool: is only valid for add-voters", pool_rows[0][0])
-    pool = _ballot_groups(k, candidates, pool_rows)
+    pool = _ballot_groups(election.k, election.candidates, pool_rows)
     try:
         return ControlInstance(
             base=election,

@@ -183,7 +183,6 @@ class GadgetOutput:
     instances: tuple[ControlInstance, ...]
     identities: tuple[ScoreIdentity, ...]
     claim: str
-    params: tuple[tuple[str, int], ...] = ()
 
 
 def satisfies_size_restriction(hs: HittingSetInstance) -> bool:
@@ -267,10 +266,7 @@ def gadget_hs_candidates(hs: HittingSetInstance) -> GadgetOutput:
         "iff the family has a hitting set of size <= k; deleting at most n-k "
         "candidates unseats c under the same condition"
     )
-    return GadgetOutput(
-        "hs-candidates", NRV, election, instances, tuple(identities), claim,
-        (("n", n), ("m", m), ("k", k)),
-    )
+    return GadgetOutput("hs-candidates", NRV, election, instances, tuple(identities), claim)
 
 
 def gadget_hs_delete_constructive(hs: HittingSetInstance) -> GadgetOutput:
@@ -311,10 +307,7 @@ def gadget_hs_delete_constructive(hs: HittingSetInstance) -> GadgetOutput:
         "deleting at most n-k candidates makes w the unique winner iff the "
         "family has a hitting set of size <= k (audit-critical)"
     )
-    return GadgetOutput(
-        "hs-delete-constructive", NRV, election, instances, (), claim,
-        (("n", n), ("m", m), ("k", k)),
-    )
+    return GadgetOutput("hs-delete-constructive", NRV, election, instances, (), claim)
 
 
 def delete_constructive_subelection_identities(
@@ -403,8 +396,7 @@ def gadget_rhs_voter_partition_tp(hs: HittingSetInstance) -> GadgetOutput:
         "explicitly; no-direction rests on the margin identity)"
     )
     return GadgetOutput(
-        "rhs-voter-partition-tp", NRV, election, instances, tuple(identities), claim,
-        (("n", n), ("m", m), ("k", k)),
+        "rhs-voter-partition-tp", NRV, election, instances, tuple(identities), claim
     )
 
 
@@ -461,10 +453,7 @@ def gadget_x3c_voter_partition_te(x3c: X3CInstance) -> GadgetOutput:
         "some voter partition (ties eliminate) denies w unique victory iff "
         "k pairwise-disjoint sets cover the universe"
     )
-    return GadgetOutput(
-        "x3c-voter-partition-te", NRV, election, instances, (), claim,
-        (("n", n), ("k", k)),
-    )
+    return GadgetOutput("x3c-voter-partition-te", NRV, election, instances, (), claim)
 
 
 def x3c_cover_side(
@@ -580,9 +569,7 @@ def gadget_deletion_to_candidate_partition(
         "iff w can win the source election by deleting at most the limit"
     )
     return GadgetOutput(
-        "deletion-to-candidate-partition", NRV, election, instances,
-        tuple(identities), claim,
-        (("m", m), ("n", n), ("r", r), ("limit", limit)),
+        "deletion-to-candidate-partition", NRV, election, instances, tuple(identities), claim
     )
 
 
@@ -631,9 +618,7 @@ def gadget_hs_destructive_candidate_partition(hs: HittingSetInstance) -> GadgetO
         "family has a hitting set of size <= k"
     )
     return GadgetOutput(
-        "hs-destructive-candidate-partition", NRV, election, instances,
-        tuple(identities), claim,
-        (("n", n), ("m", m), ("k", k)),
+        "hs-destructive-candidate-partition", NRV, election, instances, tuple(identities), claim
     )
 
 

@@ -80,15 +80,6 @@ __all__ = [
     "render_jsonl",
 ]
 
-GADGET_NAMES = (
-    "hs-candidates",
-    "hs-delete-constructive",
-    "rhs-voter-partition-tp",
-    "x3c-voter-partition-te",
-    "deletion-to-candidate-partition",
-    "hs-destructive-candidate-partition",
-)
-
 DEFAULT_CHECKS = {
     "hs-candidates": ("equivalence", "identities"),
     "hs-delete-constructive": ("equivalence", "identities"),
@@ -97,6 +88,7 @@ DEFAULT_CHECKS = {
     "deletion-to-candidate-partition": ("equivalence", "identities"),
     "hs-destructive-candidate-partition": ("equivalence", "identities"),
 }
+GADGET_NAMES = tuple(DEFAULT_CHECKS)
 
 
 @dataclass(frozen=True)

@@ -476,6 +476,15 @@ class TestParse:
         expected = _parsed(_build_parser().parse_args, argv)
         assert _parsed(_parse, argv) == expected
 
+    @pytest.mark.parametrize("argv", [
+        ["tally"], ["bogus"], ["control", "a", "b"], ["-h"], ["control", "-h"],
+    ], ids=" ".join)
+    def test_run_cli_prints_help_and_usage_errors_to_its_streams(self, argv, capsys):
+        expected = _parsed(_build_parser().parse_args, argv)
+        assert cli(*argv) == expected
+        assert expected[1] or expected[2]
+        assert capsys.readouterr() == ("", "")
+
     def test_control_loads_no_audit_module(self, destructive_add_path):
         src = str(Path(rangecontrol.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
