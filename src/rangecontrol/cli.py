@@ -206,32 +206,13 @@ def _cmd_control(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return 0
 
 
-def _gadget_source(gadget_name: str, text: str):
-    """The source ``harness.build_gadget`` takes, read from an instance file."""
-    if gadget_name == "deletion-to-candidate-partition":
-        parsed = fileio.parse_election(text)
-        instance = parsed.instance
-        if (
-            instance is None
-            or instance.family != ctl.DELETE_CANDIDATES
-            or instance.goal != ctl.CONSTRUCTIVE
-        ):
-            raise fileio.ParseError(
-                "this gadget needs a constructive delete-candidates instance section"
-            )
-        return parsed.election, instance.distinguished, instance.limit
-    if gadget_name == "x3c-voter-partition-te":
-        return fileio.parse_x3c_instance(text)
-    return fileio.parse_hs_instance(text)
-
-
 def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from . import harness
 
     text = _read(args.file)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        gadget = harness.build_gadget(args.type, _gadget_source(args.type, text))
+        gadget = harness.build_gadget(args.type, harness.read_source(args.type, text))
     for w in caught:
         print(f"warning: {w.message}", file=err)
     if not 0 <= args.instance < len(gadget.instances):
@@ -241,7 +222,7 @@ def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     chosen = gadget.instances[args.instance]
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(fileio.serialize_election(gadget.election, chosen))
-    print(f"gadget: {gadget.name}", file=out)
+    print(f"gadget: {args.type}", file=out)
     print(f"claim: {gadget.claim}", file=out)
     for i, instance in enumerate(gadget.instances):
         marker = "*" if i == args.instance else " "
@@ -293,7 +274,7 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
         else:
             raise ValueError(f"cannot parse bound {token!r}")
         var = var.strip()
-        if var not in ("n", "m", "k", "s"):
+        if var not in _BOUND_FIELDS:
             raise ValueError(f"unknown bound variable {var!r}")
         if bounds[0] > bounds[1]:
             raise ValueError(f"empty range in bound {token!r}")

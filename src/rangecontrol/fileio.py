@@ -34,6 +34,7 @@ parsed file canonicalizes it.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -43,6 +44,8 @@ from .control import (
     CONSTRUCTIVE,
     DESTRUCTIVE,
     FAMILIES,
+    TIES_ELIMINATE,
+    TIES_PROMOTE,
     ControlInstance,
     InvalidInstance,
 )
@@ -159,6 +162,13 @@ def _parse_int(value: str, what: str, lineno: int) -> int:
     try:
         return int(value)
     except ValueError:
+        digits = value[1:] if value[:1] in ("+", "-") else value
+        if digits.isdecimal() and hasattr(sys, "get_int_max_str_digits"):
+            # int() refused it for its length: name the limit, not the digits
+            raise ParseError(
+                f"{what} must be an integer of at most {sys.get_int_max_str_digits()} "
+                f"digits, got {len(digits)} digits", lineno,
+            ) from None
         raise ParseError(f"{what} must be an integer, got {value!r}", lineno) from None
 
 
@@ -219,7 +229,7 @@ def _build_instance(
     ties_field = fields.pop("ties", None)
     tie_model = None
     if ties_field is not None:
-        if ties_field[1] not in ("promote", "eliminate"):
+        if ties_field[1] not in (TIES_PROMOTE, TIES_ELIMINATE):
             raise ParseError(f"unknown tie model {ties_field[1]!r}", ties_field[0])
         tie_model = ties_field[1]
     limit_field = fields.pop("limit", None)
@@ -231,8 +241,6 @@ def _build_instance(
         unknown = [cid for cid in spoilers if cid not in election.candidates]
         if unknown:
             raise ParseError(f"unknown spoiler candidates {unknown}", spoiler_field[0])
-    if fields:
-        raise ParseError(f"unexpected instance fields {sorted(fields)}")
     if pool_rows and family != ADD_VOTERS:
         raise ParseError("pool: is only valid for add-voters", pool_rows[0][0])
     pool = _ballot_groups(election.k, election.candidates, pool_rows)

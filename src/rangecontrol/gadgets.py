@@ -177,7 +177,6 @@ class ScoreIdentity:
 class GadgetOutput:
     """Election + control instances + score assertions for one source instance."""
 
-    name: str
     system: str
     election: Election
     instances: tuple[ControlInstance, ...]
@@ -266,7 +265,7 @@ def gadget_hs_candidates(hs: HittingSetInstance) -> GadgetOutput:
         "iff the family has a hitting set of size <= k; deleting at most n-k "
         "candidates unseats c under the same condition"
     )
-    return GadgetOutput("hs-candidates", NRV, election, instances, tuple(identities), claim)
+    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
 
 
 def gadget_hs_delete_constructive(hs: HittingSetInstance) -> GadgetOutput:
@@ -307,7 +306,7 @@ def gadget_hs_delete_constructive(hs: HittingSetInstance) -> GadgetOutput:
         "deleting at most n-k candidates makes w the unique winner iff the "
         "family has a hitting set of size <= k (audit-critical)"
     )
-    return GadgetOutput("hs-delete-constructive", NRV, election, instances, (), claim)
+    return GadgetOutput(NRV, election, instances, (), claim)
 
 
 def delete_constructive_subelection_identities(
@@ -395,19 +394,15 @@ def gadget_rhs_voter_partition_tp(hs: HittingSetInstance) -> GadgetOutput:
         "family has a hitting set of size <= k (yes-direction replayed "
         "explicitly; no-direction rests on the margin identity)"
     )
-    return GadgetOutput(
-        "rhs-voter-partition-tp", NRV, election, instances, tuple(identities), claim
-    )
+    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
 
 
-def tp_explicit_partition(
-    gadget: GadgetOutput, hs: HittingSetInstance, hitting_set: Sequence[str]
-) -> tuple[int, ...]:
+def tp_explicit_partition(gadget: GadgetOutput, hitting_set: Sequence[str]) -> tuple[int, ...]:
     """Split vector for the known-good partition: one single-support voter
     per hitting-set element plus one w-only voter into the first side."""
     election = gadget.election
     counts = [0] * len(election.ballots)
-    w = _fresh("w", hs.universe + (_fresh("c", hs.universe),))
+    w = election.candidates[-2]  # declared ..., w, c
     counts[_group_index(election, {w: 2})] += 1
     for b in hitting_set:
         counts[_group_index(election, {b: 2})] += 1
@@ -453,7 +448,7 @@ def gadget_x3c_voter_partition_te(x3c: X3CInstance) -> GadgetOutput:
         "some voter partition (ties eliminate) denies w unique victory iff "
         "k pairwise-disjoint sets cover the universe"
     )
-    return GadgetOutput("x3c-voter-partition-te", NRV, election, instances, (), claim)
+    return GadgetOutput(NRV, election, instances, (), claim)
 
 
 def x3c_cover_side(
@@ -467,8 +462,7 @@ def x3c_cover_side(
     """
     election = gadget.election
     k = x3c.k
-    c = _fresh("c", x3c.elements)
-    w = _fresh("w", x3c.elements + (c,))
+    c, w = election.candidates[-2:]  # declared ..., c, w
     counts = [0] * len(election.ballots)
     b_all = set(x3c.elements)
     for s in cover:
@@ -568,9 +562,7 @@ def gadget_deletion_to_candidate_partition(
         "w can win the extended election by (runoff) partition of candidates "
         "iff w can win the source election by deleting at most the limit"
     )
-    return GadgetOutput(
-        "deletion-to-candidate-partition", NRV, election, instances, tuple(identities), claim
-    )
+    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +609,7 @@ def gadget_hs_destructive_candidate_partition(hs: HittingSetInstance) -> GadgetO
         "some (runoff) candidate partition denies w unique victory iff the "
         "family has a hitting set of size <= k"
     )
-    return GadgetOutput(
-        "hs-destructive-candidate-partition", NRV, election, instances, tuple(identities), claim
-    )
+    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
 
 
 def destructive_partition_subelection_identities(

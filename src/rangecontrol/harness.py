@@ -30,6 +30,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from . import control as ctl
+from . import fileio
 from .control import ControlInstance, describe, solve
 from .elections import NRV, RV, BallotGroup, Election, project, take_voters, tally
 from .gadgets import (
@@ -69,6 +70,7 @@ __all__ = [
     "evaluate_identity",
     "audit_gadget",
     "build_gadget",
+    "read_source",
     "replay_instance",
     "encode_hs",
     "decode_hs",
@@ -280,7 +282,7 @@ def gen_random_control_instance(seed: int, max_actions: int = 30000) -> ControlI
         cands = base.candidates
         distinguished = rng.choice(cands)
         kwargs = {}
-        if family in (ctl.PARTITION_CANDIDATES, ctl.RUNOFF_PARTITION_CANDIDATES, ctl.PARTITION_VOTERS):
+        if family in ctl._PARTITION_FAMILIES:
             kwargs["tie_model"] = rng.choice((ctl.TIES_PROMOTE, ctl.TIES_ELIMINATE))
         else:
             kwargs["limit"] = rng.randint(1, 2)
@@ -538,6 +540,25 @@ def build_gadget(gadget_name: str, source) -> GadgetOutput:
     return builder(*source) if gadget_name == _DELETION else builder(source)
 
 
+def read_source(gadget_name: str, text: str):
+    """The source ``build_gadget`` takes for the named gadget, read from an instance file."""
+    if gadget_name == _DELETION:
+        parsed = fileio.parse_election(text)
+        instance = parsed.instance
+        if (
+            instance is None
+            or instance.family != ctl.DELETE_CANDIDATES
+            or instance.goal != ctl.CONSTRUCTIVE
+        ):
+            raise fileio.ParseError(
+                "this gadget needs a constructive delete-candidates instance section"
+            )
+        return parsed.election, instance.distinguished, instance.limit
+    if gadget_name == _X3C:
+        return fileio.parse_x3c_instance(text)
+    return fileio.parse_hs_instance(text)
+
+
 def _build_or_none(gadget_name: str, source) -> GadgetOutput | None:
     """The gadget, or None when ``source`` violates one of its preconditions."""
     try:
@@ -614,8 +635,7 @@ def _witness_identities(
 def _final_round_note(x3c: X3CInstance, gadget: GadgetOutput) -> str:
     n = len(x3c.sets)
     k = x3c.k
-    extras = [c for c in gadget.election.candidates if c not in x3c.elements]
-    c_id, w_id = extras  # declaration order: ... c, w
+    c_id, w_id = gadget.election.candidates[-2:]  # declared ..., c, w
     final = tally(project(gadget.election, (c_id, w_id)), gadget.system)
     c_total = final.totals[c_id]
     stated = Fraction(12 * n + 14 * k - 2)
@@ -662,7 +682,7 @@ def _record(
     notes: list[str] = []
     if "one-direction" in checks:
         if decision:
-            counts = tp_explicit_partition(gadget, source, witness)
+            counts = tp_explicit_partition(gadget, witness)
             ok = ctl.replay_witness(gadget.instances[0], counts)
             notes.append(
                 "one-direction: explicit partition "
@@ -729,9 +749,10 @@ def _sources(spec: AuditSpec) -> Iterator[tuple[str, object, GadgetOutput]]:
 def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
     """One random trial's source and gadget.  A draw is redrawn, seeded by
     (trial, attempt), until it is valid and its gadget builds.  An x3c trial's
-    first draw is seeded by the trial alone, so the x3c reports pinned in the
-    tests keep their bytes; it is redrawn when ``gen_random_x3c`` cannot cover
-    an unplanted draw."""
+    first draw is seeded by the trial alone, which keeps the random x3c audits
+    pinned elsewhere: the record indices ``test_k3_audit_disagrees_on_every_no_record``
+    asserts and perfbench's audit-x3c hashes.  It is redrawn when
+    ``gen_random_x3c`` cannot cover an unplanted draw."""
     name = spec.gadget
     for attempt in range(500):
         if name == _X3C and not attempt:

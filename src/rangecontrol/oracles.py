@@ -108,9 +108,7 @@ def solve_x3c(x3c: X3CInstance) -> OracleResult:
     return OracleResult(False)
 
 
-def validate_restricted_hs(hs: HittingSetInstance) -> bool:
-    """Whether the instance meets the restricted-hitting-set size condition."""
-    return satisfies_size_restriction(hs)
+validate_restricted_hs = satisfies_size_restriction
 
 
 def _mask(members, order) -> int:

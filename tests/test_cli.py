@@ -140,6 +140,20 @@ class TestTally:
         code, out, err = cli("tally", "--system", "rv", str(path))
         assert code == 2 and "line 4" in err
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    @pytest.mark.parametrize("text, line", [
+        ("range: {}\ncandidates: a\nballots:\n", 1),
+        ("range: 2\ncandidates: a\nballots:\n{} | 1\n", 4),
+    ])
+    def test_an_integer_past_the_digit_limit_names_the_limit(self, tmp_path, text, line):
+        path = tmp_path / "long.txt"
+        path.write_text(text.format("1" * 5000))
+        code, _, err = cli("tally", "--system", "rv", str(path))
+        assert code == 2 and f"line {line}: " in err
+        assert f"at most {sys.get_int_max_str_digits()} digits, got 5000 digits" in err
+        assert len(err) < 200
+
 
 class TestControl:
     def test_witness_output(self, destructive_add_path):
@@ -312,6 +326,17 @@ class TestGadget:
         src.write_text("elements: b1 b2\nset: b1\nset: b2\nk: 1\n")
         code, _, _ = cli("gadget", "hs-candidates", str(src), "-o", str(tmp_path / "g.txt"))
         assert code == 0 and len(calls) == 1
+
+    def test_x3c_gadget_writes_its_partition_instance(self, tmp_path):
+        src = tmp_path / "x3c.txt"
+        src.write_text("elements: b1 b2 b3\nset: b1 b2 b3\n")
+        out_path = tmp_path / "g.txt"
+        code, out, _ = cli("gadget", "x3c-voter-partition-te", str(src), "-o", str(out_path))
+        assert code == 0
+        assert out.startswith("gadget: x3c-voter-partition-te\n")
+        assert out_path.read_text().endswith(
+            "action: partition-voters\ngoal: destructive\nties: eliminate\ndistinguished: w\n"
+        )
 
     def test_deletion_gadget_needs_instance_section(self, tmp_path):
         src = tmp_path / "e.txt"

@@ -213,3 +213,56 @@ class TestProblemFiles:
         assert x3c == parse_x3c_instance("elements: b1 b2 b3\nset: b1 b2 b3\n")
         with pytest.raises(ParseError, match="exactly 3 elements"):
             parse_problem("elements: b1 b2 b3\nset: b1 b2\n")
+
+
+_BASE = "range: 2\ncandidates: a b\nballots:\n1 | 2 0\n"
+
+
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_election, "range: 2\nrange: 3\n", "line 2: duplicate range: line"),
+    (parse_election, "range: two\n", "line 1: range must be an integer, got 'two'"),
+    (parse_election, "range: 2\nsystem: rv\nsystem: nrv\n", "line 3: duplicate system: line"),
+    (parse_election, "system: irv\n", "line 1: unknown system 'irv'"),
+    (parse_election, "candidates: a\ncandidates: b\n", "line 2: duplicate candidates: line"),
+    (parse_election, "range: 2\nvoters: 3\n", "line 2: unknown header 'voters'"),
+    (parse_election, "range: 2\ncandidates: a\nballots: 1 | 2\n",
+     "line 3: ballots: takes no inline value"),
+    (parse_election, "pool: 1 | 2\n", "line 1: pool: takes no inline value"),
+    (parse_election, "range: 2\ncandidates: a\nballots:\n1 2\n",
+     "line 4: ballot line must look like '<count> | <scores>'"),
+    (parse_election, "range: 2\ncandidates: a\nballots:\n0 | 2\n",
+     "line 4: voter count must be positive, got 0"),
+    (parse_election, "range: 0\ncandidates: a\nballots:\n",
+     "score range k must be a positive integer, got 0"),
+    (parse_election, _BASE + "action: delete-candidates\ngoal: constructive\ngoal: destructive\n",
+     "line 7: duplicate goal: line"),
+    (parse_election, _BASE + "action: bribe\n", "line 5: unknown action 'bribe'"),
+    (parse_election, _BASE + "action: delete-candidates\n", "instance needs a goal: header"),
+    (parse_election, _BASE + "action: delete-candidates\ngoal: win\n", "line 6: unknown goal 'win'"),
+    (parse_election, _BASE + "action: delete-candidates\ngoal: constructive\n",
+     "instance needs a distinguished: header"),
+    (parse_election,
+     _BASE + "action: partition-voters\ngoal: destructive\nties: coin\ndistinguished: a\n",
+     "line 7: unknown tie model 'coin'"),
+    (parse_election,
+     _BASE + "action: add-candidates\ngoal: constructive\ndistinguished: a\nspoilers: z\n",
+     "line 8: unknown spoiler candidates ['z']"),
+    (parse_election,
+     _BASE + "action: add-candidates\ngoal: constructive\ndistinguished: a\nspoilers: a\n",
+     "distinguished candidate cannot be a spoiler"),
+    (parse_election,
+     _BASE + "action: delete-voters\ngoal: constructive\ndistinguished: a\nlimit: 1\n"
+     "pool:\n1 | 1 1\n",
+     "line 10: pool: is only valid for add-voters"),
+    (parse_problem, "elements b1\n", "line 1: expected 'key: value', got 'elements b1'"),
+    (parse_problem, "elements: b1\nelements: b2\n", "line 2: duplicate elements: line"),
+    (parse_problem, "elements: b1\nset:\n", "line 2: a set must list at least one element"),
+    (parse_problem, "elements: b1\nset: b1\nsize: 1\n", "line 3: unknown header 'size'"),
+    (parse_problem, "set: b1\nk: 1\n", "missing required header elements:"),
+    (parse_problem, "elements: b1\nk: 1\n", "at least one set: line is required"),
+    (parse_problem, "elements: b1\nset: b1\nk: 2\n", "budget k must satisfy 1 <= k <= 1, got 2"),
+])
+def test_rejection_message(parse, text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message

@@ -162,7 +162,7 @@ class TestRhsVoterPartitionTp:
     def test_explicit_partition_beats_c(self):
         g = gadget_rhs_voter_partition_tp(self.RESTRICTED)
         witness = solve_hitting_set(self.RESTRICTED).witness
-        counts = tp_explicit_partition(g, self.RESTRICTED, witness)
+        counts = tp_explicit_partition(g, witness)
         from rangecontrol.control import replay_witness
 
         assert replay_witness(g.instances[0], counts) is True
@@ -372,3 +372,30 @@ class TestScalingStability:
         g2 = gadget_hs_destructive_candidate_partition(hs(["b1", "b2"], [["b1"]], 1))
         for inst in g2.instances:
             assert solve(scale_instance(inst, a)).decision == solve(inst).decision
+
+
+class TestAuxiliaryNamesAvoidTheUniverse:
+    # a universe holding c, c2 and w pushes the auxiliaries to c3 and w2
+    CW = ("c", "c2", "w")
+
+    def test_hs_candidates(self):
+        g = gadget_hs_candidates(hs(self.CW, [["c", "w"], ["c2"]], 2))
+        assert g.election.candidates == self.CW + ("c3", "w2")
+        assert g.instances[0].distinguished == "w2"
+
+    def test_tp_explicit_partition_finds_the_w2_group(self):
+        g = gadget_rhs_voter_partition_tp(hs(self.CW + ("b4", "b5", "b6", "b7"), [["c"]], 1))
+        assert g.election.candidates[-2:] == ("w2", "c3")
+        counts = tp_explicit_partition(g, ("c",))
+        assert counts[_group_index(g.election, {"w2": 2})] == 1
+        assert counts[_group_index(g.election, {"c": 2})] == 1
+        assert replay_witness(g.instances[0], counts) is True
+
+    def test_x3c_cover_side_finds_the_c3_w2_groups(self):
+        inst = X3CInstance(self.CW + ("b4", "b5", "b6"), (self.CW, ("b4", "b5", "b6")))
+        g = gadget_x3c_voter_partition_te(inst)
+        assert g.election.candidates[-2:] == ("c3", "w2")
+        counts, idents = x3c_cover_side(g, inst, inst.sets)
+        assert counts[_group_index(g.election, {"w2": 4, "c3": 2})] == 1  # the k-1 balance voters
+        assert counts[_group_index(g.election, {"b4": 4, "b5": 4, "b6": 4, "c3": 2})] == 1
+        assert [i.candidate for i in idents[:2]] == ["c3", "w2"]

@@ -1,11 +1,14 @@
 """Generators, audits, report determinism, and counterexample replay."""
 
+import ast
+import dataclasses
 import hashlib
 import itertools
 import json
 import random
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -208,6 +211,21 @@ class TestAudits:
             assert (again.oracle, again.solver, again.status) == (
                 rec.oracle, rec.solver, rec.status
             )
+
+    def test_x3c_records_replay_identically(self):
+        report = audit_gadget(AuditSpec(gadget="x3c-voter-partition-te", k=(1, 1), sets=(1, 2)))
+        assert report.records
+        for rec in report.records:
+            again = replay_instance("x3c-voter-partition-te", rec.encoding)
+            assert again == dataclasses.replace(rec, index=0)
+
+    def test_a_short_hitting_set_is_padded_to_k(self):
+        # the oracle's witness is {b1}; the stated totals need |B'| = k = 2
+        rec = replay_instance("hs-delete-constructive", "hs k=2 B=b1,b2,b3 S=b1;b1,b2")
+        assert rec.oracle_witness == "b1"
+        assert [i.label for i in rec.identities] == [
+            "b1 in ({w}+B',V)", "b2 in ({w}+B',V)", "w in ({w}+B',V)",
+        ]
 
     def test_tp_audit_all_pass(self):
         spec = AuditSpec(gadget="rhs-voter-partition-tp", n=(6, 6), m=(1, 1),
@@ -419,3 +437,15 @@ def test_enumeration_is_pinned(sweep, count, sha):
     instances = list(sweep())
     assert len(instances) == count
     assert hashlib.sha256(repr(instances).encode()).hexdigest() == sha
+
+
+def test_only_harness_holds_gadget_names_as_strings():
+    # harness maps a gadget name to its builder and its source; a second module
+    # comparing against a name would silently miss a rename
+    holders = {
+        path.name
+        for path in Path(harness.__file__).parent.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in harness.GADGET_NAMES
+    }
+    assert holders == {"harness.py"}
