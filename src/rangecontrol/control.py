@@ -83,13 +83,6 @@ __all__ = [
     "ControlOutcome",
     "subelection_survivors",
     "solve",
-    "solve_add_candidates",
-    "solve_delete_candidates",
-    "solve_add_voters",
-    "solve_delete_voters",
-    "solve_partition_candidates",
-    "solve_runoff_partition_candidates",
-    "solve_partition_voters",
     "replay_witness",
     "search_space",
     "search_space_floor",
@@ -478,11 +471,6 @@ def _scan_counts(walk: Iterable[tuple], evaluate: Callable, budget: int | None) 
 # ---------------------------------------------------------------------------
 # per-family solvers
 
-def _require(instance: ControlInstance, *families: str) -> None:
-    if instance.family not in families:
-        raise InvalidInstance(f"expected a {' or '.join(families)} instance, got {instance.family}")
-
-
 def _candidate_domain(instance: ControlInstance) -> tuple[str, ...]:
     """The candidates an add/delete-candidates action may choose from.
 
@@ -498,7 +486,7 @@ def _candidate_domain(instance: ControlInstance) -> tuple[str, ...]:
 
 
 def _voter_caps(instance: ControlInstance) -> list[int]:
-    """Per-group caps of an add/delete-voters action: pool or base multiplicities."""
+    """Per-group caps of a voter action: pool multiplicities when adding, else base ones."""
     groups = instance.pool if instance.family == ADD_VOTERS else instance.base.ballots
     return [g.multiplicity for g in groups]
 
@@ -511,7 +499,6 @@ def _solve_candidate_subset(
     Spoilers start unregistered and every deletable candidate starts
     registered, so toggling the chosen candidates covers both actions.
     """
-    _require(instance, ADD_CANDIDATES, DELETE_CANDIDATES)
     base = instance.base
     registered = _mask_of(base.candidates, instance.registered)
     wanted = 1 << base.index(instance.distinguished)
@@ -542,7 +529,6 @@ def _solve_voter_count(
     base totals, or subtracts a base row from them.  A subtree of the
     scan is skipped once the moves left to it cannot change the verdict.
     """
-    _require(instance, ADD_VOTERS, DELETE_VOTERS)
     base = instance.base
     rows, mults = _voter_rows(instance, base.ballots + instance.pool)
     voters = len(base.ballots)
@@ -586,7 +572,6 @@ def _solve_candidate_partition(
     group in the final election over the full voter set; with a runoff,
     the second group first runs a subelection of its own.
     """
-    _require(instance, PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES)
     base = instance.base
     everyone = (1 << len(base.candidates)) - 1
     wanted = 1 << base.index(instance.distinguished)
@@ -607,7 +592,7 @@ def _solve_candidate_partition(
     return ControlOutcome(True, first, outcome.explored)
 
 
-def solve_partition_voters(
+def _solve_voter_partition(
     instance: ControlInstance, *, budget: int | None = None
 ) -> ControlOutcome:
     """Decide control by partition of voters.
@@ -626,7 +611,6 @@ def solve_partition_voters(
     vectors comes after its complement), and otherwise once every pair of
     survivor sets its sides can reach fails (see :func:`_margin_lines`).
     """
-    _require(instance, PARTITION_VOTERS)
     base = instance.base
     rows, mults = _voter_rows(instance, base.ballots)
     full = weighted_sums(rows, mults, [0] * len(base.candidates))
@@ -713,18 +697,14 @@ def _possible_lone_tops(totals: list[int], lines: list[list[int]]) -> list[int]:
 
 
 # one solver per action shape; each reads its family from the instance
-solve_add_candidates = solve_delete_candidates = _solve_candidate_subset
-solve_add_voters = solve_delete_voters = _solve_voter_count
-solve_partition_candidates = solve_runoff_partition_candidates = _solve_candidate_partition
-
 _SOLVERS = {
-    ADD_CANDIDATES: solve_add_candidates,
-    DELETE_CANDIDATES: solve_delete_candidates,
-    ADD_VOTERS: solve_add_voters,
-    DELETE_VOTERS: solve_delete_voters,
-    PARTITION_CANDIDATES: solve_partition_candidates,
-    RUNOFF_PARTITION_CANDIDATES: solve_runoff_partition_candidates,
-    PARTITION_VOTERS: solve_partition_voters,
+    ADD_CANDIDATES: _solve_candidate_subset,
+    DELETE_CANDIDATES: _solve_candidate_subset,
+    ADD_VOTERS: _solve_voter_count,
+    DELETE_VOTERS: _solve_voter_count,
+    PARTITION_CANDIDATES: _solve_candidate_partition,
+    RUNOFF_PARTITION_CANDIDATES: _solve_candidate_partition,
+    PARTITION_VOTERS: _solve_voter_partition,
 }
 
 
@@ -773,8 +753,10 @@ def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
     """Re-evaluate a witnessed action with plain project/tally calls.
 
     Independent of solver-internal caching and integer scaling; used to
-    validate that yes-outcomes really achieve their goal.
+    validate that yes-outcomes really achieve their goal.  A witness
+    outside the instance's action space is an :class:`InvalidInstance`.
     """
+    _check_action(instance, witness)
     base = instance.base
     system = instance.system
     family = instance.family
@@ -782,8 +764,6 @@ def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
         subset = set(instance.registered) | set(witness)
         winners = tally(project(base, subset), system).winners
     elif family == DELETE_CANDIDATES:
-        if instance.distinguished in witness:
-            raise InvalidInstance("the distinguished candidate is never deletable")
         subset = set(base.candidates) - set(witness)
         winners = tally(project(base, subset), system).winners
     elif family == ADD_VOTERS:
@@ -811,6 +791,25 @@ def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
         d2 = subelection_survivors(side2, system, instance.tie_model)
         winners = tally(project(base, d1 | d2), system).winners
     return _goal_met(instance.goal, frozenset((instance.distinguished,)), winners)
+
+
+def _check_action(instance: ControlInstance, witness: tuple) -> None:
+    """Raise InvalidInstance unless ``witness`` is one of the instance's actions:
+    a count in ``[0, cap]`` per voter group, or distinct candidates of its
+    domain, adding up to at most the limit."""
+    family = instance.family
+    if family in (ADD_VOTERS, DELETE_VOTERS, PARTITION_VOTERS):
+        caps = _voter_caps(instance)
+        if len(witness) != len(caps) or not all(0 <= j <= cap for j, cap in zip(witness, caps)):
+            raise InvalidInstance(f"a {family} action takes {len(caps)} counts, each in [0, cap]")
+        size = sum(witness)
+    else:
+        domain = instance.base.candidates if family in _PARTITION_FAMILIES else _candidate_domain(instance)
+        if len(set(witness)) != len(witness) or not set(witness) <= set(domain):
+            raise InvalidInstance(f"a {family} action chooses distinct candidates of {list(domain)}")
+        size = len(witness)
+    if instance.limit is not None and size > instance.limit:
+        raise InvalidInstance(f"a {family} action has a limit of {instance.limit}, got {size}")
 
 
 def scale_instance(instance: ControlInstance, a: int) -> ControlInstance:

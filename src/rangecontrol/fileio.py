@@ -60,8 +60,6 @@ __all__ = [
     "parse_problem",
     "parse_hs_instance",
     "parse_x3c_instance",
-    "serialize_hs_instance",
-    "serialize_x3c_instance",
 ]
 
 
@@ -71,7 +69,18 @@ class ParseError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         self.line = line
         prefix = f"line {line}: " if line is not None else ""
-        super().__init__(prefix + message)
+        super().__init__(prefix + _clipped(message))
+
+
+def _clipped(message: str) -> str:
+    """``message`` with the middle of a long echoed input value cut out.
+
+    Messages are short unless they echo a long value, so one of at most
+    180 characters is shown whole.
+    """
+    if len(message) <= 180:
+        return message
+    return f"{message[:60]}...[{len(message) - 120} characters cut]...{message[-60:]}"
 
 
 @dataclass(frozen=True)
@@ -382,15 +391,3 @@ def parse_x3c_instance(text: str) -> X3CInstance:
         raise ParseError("exact-cover files take no k: header", k[0])
     return _problem(elements, sets, k)
 
-
-def serialize_hs_instance(hs: HittingSetInstance) -> str:
-    lines = [f"elements: {' '.join(hs.universe)}"]
-    lines.extend(f"set: {' '.join(s)}" for s in hs.sets)
-    lines.append(f"k: {hs.k}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_x3c_instance(x3c: X3CInstance) -> str:
-    lines = [f"elements: {' '.join(x3c.elements)}"]
-    lines.extend(f"set: {' '.join(s)}" for s in x3c.sets)
-    return "\n".join(lines) + "\n"

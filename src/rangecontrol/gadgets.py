@@ -175,9 +175,8 @@ class ScoreIdentity:
 
 @dataclass(frozen=True)
 class GadgetOutput:
-    """Election + control instances + score assertions for one source instance."""
+    """NRV election + control instances + score assertions for one source instance."""
 
-    system: str
     election: Election
     instances: tuple[ControlInstance, ...]
     identities: tuple[ScoreIdentity, ...]
@@ -265,7 +264,7 @@ def gadget_hs_candidates(hs: HittingSetInstance) -> GadgetOutput:
         "iff the family has a hitting set of size <= k; deleting at most n-k "
         "candidates unseats c under the same condition"
     )
-    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
+    return GadgetOutput(election, instances, tuple(identities), claim)
 
 
 def gadget_hs_delete_constructive(hs: HittingSetInstance) -> GadgetOutput:
@@ -306,7 +305,7 @@ def gadget_hs_delete_constructive(hs: HittingSetInstance) -> GadgetOutput:
         "deleting at most n-k candidates makes w the unique winner iff the "
         "family has a hitting set of size <= k (audit-critical)"
     )
-    return GadgetOutput(NRV, election, instances, (), claim)
+    return GadgetOutput(election, instances, (), claim)
 
 
 def delete_constructive_subelection_identities(
@@ -394,7 +393,7 @@ def gadget_rhs_voter_partition_tp(hs: HittingSetInstance) -> GadgetOutput:
         "family has a hitting set of size <= k (yes-direction replayed "
         "explicitly; no-direction rests on the margin identity)"
     )
-    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
+    return GadgetOutput(election, instances, tuple(identities), claim)
 
 
 def tp_explicit_partition(gadget: GadgetOutput, hitting_set: Sequence[str]) -> tuple[int, ...]:
@@ -448,7 +447,7 @@ def gadget_x3c_voter_partition_te(x3c: X3CInstance) -> GadgetOutput:
         "some voter partition (ties eliminate) denies w unique victory iff "
         "k pairwise-disjoint sets cover the universe"
     )
-    return GadgetOutput(NRV, election, instances, (), claim)
+    return GadgetOutput(election, instances, (), claim)
 
 
 def x3c_cover_side(
@@ -562,7 +561,7 @@ def gadget_deletion_to_candidate_partition(
         "w can win the extended election by (runoff) partition of candidates "
         "iff w can win the source election by deleting at most the limit"
     )
-    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
+    return GadgetOutput(election, instances, tuple(identities), claim)
 
 
 # ---------------------------------------------------------------------------
@@ -609,7 +608,7 @@ def gadget_hs_destructive_candidate_partition(hs: HittingSetInstance) -> GadgetO
         "some (runoff) candidate partition denies w unique victory iff the "
         "family has a hitting set of size <= k"
     )
-    return GadgetOutput(NRV, election, instances, tuple(identities), claim)
+    return GadgetOutput(election, instances, tuple(identities), claim)
 
 
 def destructive_partition_subelection_identities(

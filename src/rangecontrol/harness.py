@@ -191,14 +191,8 @@ def _rng(*parts) -> random.Random:
     return random.Random(":".join(str(p) for p in parts))
 
 
-def gen_random_hs(
-    n: int, m: int, k: int, seed: int, restricted: bool = False
-) -> HittingSetInstance:
+def gen_random_hs(n: int, m: int, k: int, seed: int) -> HittingSetInstance:
     """Uniformly sampled family of m nonempty subsets of an n-universe."""
-    if restricted and m * (k + 1) + 3 > n - k:
-        raise ValueError(
-            f"no restricted instance exists for n={n}, m={m}, k={k}"
-        )
     if not 1 <= k <= n:
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = _rng("hs", seed)
@@ -458,7 +452,7 @@ def check_score_identities(
     if tallies is None:
         tallies = {}
     return tuple(
-        evaluate_identity(gadget.election, gadget.system, ident, tallies)
+        evaluate_identity(gadget.election, NRV, ident, tallies)
         for ident in gadget.identities
     )
 
@@ -636,7 +630,7 @@ def _final_round_note(x3c: X3CInstance, gadget: GadgetOutput) -> str:
     n = len(x3c.sets)
     k = x3c.k
     c_id, w_id = gadget.election.candidates[-2:]  # declared ..., c, w
-    final = tally(project(gadget.election, (c_id, w_id)), gadget.system)
+    final = tally(project(gadget.election, (c_id, w_id)), NRV)
     c_total = final.totals[c_id]
     stated = Fraction(12 * n + 14 * k - 2)
     recomputed = Fraction(12 * n + 12 * k)
@@ -678,7 +672,7 @@ def _record(
         identities.extend(check_score_identities(gadget, tallies))
         if decision:
             for ident in _witness_identities(name, source, gadget, witness):
-                identities.append(evaluate_identity(gadget.election, gadget.system, ident, tallies))
+                identities.append(evaluate_identity(gadget.election, NRV, ident, tallies))
     notes: list[str] = []
     if "one-direction" in checks:
         if decision:

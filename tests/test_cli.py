@@ -155,6 +155,30 @@ class TestTally:
         assert len(err) < 200
 
 
+
+_LONG = "x" * 5000
+
+
+@pytest.mark.parametrize("command, text", [
+    ("tally", f"range: 2\ncandidates: a\nballots:\n1 | {_LONG}\n"),
+    ("tally", f"range: 2\ncandidates: a\n{_LONG}\n"),
+    ("tally", f"system: {_LONG}\n"),
+    ("tally", f"{_LONG}: 1\n"),
+    ("tally", f"range: 2\ncandidates: a\nballots:\n1 | 1\naction: {_LONG}\n"),
+    ("gadget", f"elements: b1\n{_LONG}\n"),
+], ids=["score token", "stray line", "system value", "header key", "action value",
+        "problem-file line"])
+def test_a_long_rejected_value_is_clipped(tmp_path, command, text):
+    path = tmp_path / "long.txt"
+    path.write_text(text)
+    if command == "tally":
+        argv = ("tally", "--system", "rv", str(path))
+    else:
+        argv = ("gadget", "hs-candidates", str(path), "-o", str(tmp_path / "g.txt"))
+    code, _, err = cli(*argv)
+    assert code == 2 and err.startswith("error: line ") and len(err) < 200
+
+
 class TestControl:
     def test_witness_output(self, destructive_add_path):
         code, out, _ = cli("control", "--witness", destructive_add_path)

@@ -36,13 +36,6 @@ from rangecontrol.control import (
     search_space,
     search_space_floor,
     solve,
-    solve_add_candidates,
-    solve_add_voters,
-    solve_delete_candidates,
-    solve_delete_voters,
-    solve_partition_candidates,
-    solve_partition_voters,
-    solve_runoff_partition_candidates,
     subelection_survivors,
     _capped_counts,
     _count_capped_vectors,
@@ -114,14 +107,14 @@ class TestAddCandidates:
         base = election(1, ("w", "x", "d"), [(2, (1, 0, 1))])
         inst = ControlInstance(base=base, family=ADD_CANDIDATES, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", spoilers=("d",), limit=1)
-        out = solve_add_candidates(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == ()
 
     def test_destructive_spoiler(self):
         base = election(2, ("c", "w", "d"), [(3, (1, 0, 2)), (2, (0, 2, 0))])
         inst = ControlInstance(base=base, family=ADD_CANDIDATES, goal=DESTRUCTIVE,
                                system=NRV, distinguished="c", spoilers=("d",), limit=1)
-        out = solve_add_candidates(inst)
+        out = solve(inst)
         assert (out.decision, out.witness, out.explored) == (True, ("d",), 2)
 
     def test_gadget_no_instance(self):
@@ -130,7 +123,7 @@ class TestAddCandidates:
         g = gadget_hs_candidates(HittingSetInstance(("b1", "b2"), (("b1",), ("b2",)), 1))
         cons = next(i for i in g.instances
                     if i.family == ADD_CANDIDATES and i.goal == CONSTRUCTIVE)
-        assert solve_add_candidates(cons).decision is False
+        assert solve(cons).decision is False
 
 
 class TestDeleteCandidates:
@@ -138,7 +131,7 @@ class TestDeleteCandidates:
         base = election(1, ("w",), [(1, (1,))])
         inst = ControlInstance(base=base, family=DELETE_CANDIDATES, goal=DESTRUCTIVE,
                                system=RV, distinguished="w", limit=1)
-        assert solve_delete_candidates(inst).decision is False
+        assert solve(inst).decision is False
 
     def test_gadget_shaped_deletion(self):
         # single-set variant of the candidate gadget (the constructor
@@ -153,14 +146,14 @@ class TestDeleteCandidates:
         ])
         inst = ControlInstance(base=base, family=DELETE_CANDIDATES, goal=DESTRUCTIVE,
                                system=NRV, distinguished="c", limit=1)
-        out = solve_delete_candidates(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == ("b2",)
 
     def test_winner_already_unique(self):
         base = election(1, ("w", "x"), [(2, (1, 0))])
         inst = ControlInstance(base=base, family=DELETE_CANDIDATES, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", limit=1)
-        out = solve_delete_candidates(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == ()
 
     def test_distinguished_never_deletable(self):
@@ -168,7 +161,7 @@ class TestDeleteCandidates:
         inst = ControlInstance(base=base, family=DELETE_CANDIDATES, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", limit=2)
         # deleting x is the only action; w itself never enters the domain
-        out = solve_delete_candidates(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == ("x",)
         assert out.explored == 2  # empty set, then {x}
 
@@ -185,14 +178,14 @@ class TestAddVoters:
         base = election(1, ("a", "w"), [(1, (0, 1))])
         inst = ControlInstance(base=base, family=ADD_VOTERS, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", pool=self.POOL, limit=1)
-        out = solve_add_voters(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == (0,)
 
     def test_one_addition_only_ties(self):
-        assert solve_add_voters(self._inst(1)).decision is False
+        assert solve(self._inst(1)).decision is False
 
     def test_two_additions_win(self):
-        out = solve_add_voters(self._inst(2))
+        out = solve(self._inst(2))
         assert out.decision is True and out.witness == (2,)
 
     def test_wrong_pool_width(self):
@@ -207,14 +200,14 @@ class TestDeleteVoters:
         base = election(1, ("a", "w"), [(1, (1, 0)), (1, (0, 1))])
         inst = ControlInstance(base=base, family=DELETE_VOTERS, goal=DESTRUCTIVE,
                                system=RV, distinguished="w", limit=1)
-        out = solve_delete_voters(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == (0, 0)
 
     def test_limit_two_removes_both_rivals(self):
         base = election(1, ("a", "w"), [(2, (1, 0)), (1, (0, 1))])
         inst = ControlInstance(base=base, family=DELETE_VOTERS, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", limit=2)
-        out = solve_delete_voters(inst)
+        out = solve(inst)
         # canonical ballot order puts (0,1) before (1,0)
         assert out.decision is True and out.witness == (0, 2)
 
@@ -222,7 +215,7 @@ class TestDeleteVoters:
         base = election(1, ("a", "w"), [(2, (1, 0)), (1, (0, 1))])
         inst = ControlInstance(base=base, family=DELETE_VOTERS, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", limit=1)
-        assert solve_delete_voters(inst).decision is False
+        assert solve(inst).decision is False
 
 
 class TestPartitionCandidates:
@@ -232,14 +225,14 @@ class TestPartitionCandidates:
                                system=RV, distinguished="w", tie_model=TIES_PROMOTE)
         destr = ControlInstance(base=base, family=PARTITION_CANDIDATES, goal=DESTRUCTIVE,
                                 system=RV, distinguished="w", tie_model=TIES_PROMOTE)
-        assert solve_partition_candidates(cons).decision is True
-        assert solve_partition_candidates(destr).decision is False
+        assert solve(cons).decision is True
+        assert solve(destr).decision is False
 
     def test_winner_keeps_winning_via_empty_first_group(self):
         base = election(1, ("w", "x"), [(2, (1, 0))])
         inst = ControlInstance(base=base, family=PARTITION_CANDIDATES, goal=CONSTRUCTIVE,
                                system=RV, distinguished="w", tie_model=TIES_ELIMINATE)
-        out = solve_partition_candidates(inst)
+        out = solve(inst)
         assert out.decision is True and out.witness == ()
 
     def test_destructive_gadget_witness(self):
@@ -261,7 +254,7 @@ class TestRunoffPartition:
         inst = ControlInstance(base=base, family=RUNOFF_PARTITION_CANDIDATES,
                                goal=CONSTRUCTIVE, system=RV, distinguished="w",
                                tie_model=TIES_ELIMINATE)
-        assert solve_runoff_partition_candidates(inst).decision is True
+        assert solve(inst).decision is True
 
     def test_everyone_eliminated_everywhere(self):
         base = election(1, ("x", "y"), [(1, (1, 1))])
@@ -271,8 +264,8 @@ class TestRunoffPartition:
         destr = ControlInstance(base=base, family=RUNOFF_PARTITION_CANDIDATES,
                                 goal=DESTRUCTIVE, system=RV, distinguished="x",
                                 tie_model=TIES_ELIMINATE)
-        assert solve_runoff_partition_candidates(cons).decision is False
-        out = solve_runoff_partition_candidates(destr)
+        assert solve(cons).decision is False
+        out = solve(destr)
         assert out.decision is True and out.witness == ()
 
 
@@ -282,7 +275,7 @@ class TestPartitionVoters:
         for ties in (TIES_PROMOTE, TIES_ELIMINATE):
             inst = ControlInstance(base=base, family=PARTITION_VOTERS, goal=DESTRUCTIVE,
                                    system=RV, distinguished="w", tie_model=ties)
-            assert solve_partition_voters(inst).decision is False
+            assert solve(inst).decision is False
 
     def test_x3c_gadget_yes(self):
         from rangecontrol.gadgets import X3CInstance, gadget_x3c_voter_partition_te
@@ -290,7 +283,7 @@ class TestPartitionVoters:
         g = gadget_x3c_voter_partition_te(
             X3CInstance(("b1", "b2", "b3"), (("b1", "b2", "b3"),))
         )
-        assert solve_partition_voters(g.instances[0]).decision is True
+        assert solve(g.instances[0]).decision is True
 
     def test_single_candidate(self):
         base = election(1, ("w",), [(2, (1,))])
@@ -298,8 +291,8 @@ class TestPartitionVoters:
                                system=RV, distinguished="w", tie_model=TIES_ELIMINATE)
         destr = ControlInstance(base=base, family=PARTITION_VOTERS, goal=DESTRUCTIVE,
                                 system=RV, distinguished="w", tie_model=TIES_ELIMINATE)
-        assert solve_partition_voters(cons).decision is True
-        assert solve_partition_voters(destr).decision is False
+        assert solve(cons).decision is True
+        assert solve(destr).decision is False
 
 
 class TestInstanceValidation:
@@ -349,10 +342,10 @@ class TestOutcomeSemantics:
         cut = solve(inst, budget=3)
         assert cut.decision is None and cut.budget_exceeded and cut.explored == 3
 
-    def test_negative_budget_rejected_and_zero_budget_kept(self):
-        base = election(1, ("a", "w"), [(1, (1, 0))])
-        inst = ControlInstance(base=base, family=DELETE_VOTERS, goal=CONSTRUCTIVE,
-                               system=RV, distinguished="w", limit=1)
+    @pytest.mark.parametrize("family", control.FAMILIES)
+    def test_negative_budget_rejected_and_zero_budget_kept(self, family):
+        inst = next(inst for inst in map(gen_random_control_instance, itertools.count())
+                    if inst.family == family)
         with pytest.raises(ValueError, match="non-negative"):
             solve(inst, budget=-1)
         assert solve(inst, budget=0) == ControlOutcome(None, None, 0)
@@ -455,6 +448,34 @@ class TestSolverProperties:
         inst = gen_random_control_instance(1234)
         outs = {solve(inst) for _ in range(5)}
         assert len(outs) == 1
+
+
+def _replay_case(name, family, rows, witness, **kwargs):
+    kwargs.setdefault("limit", 1)
+    base = election(1, ("a", "b", "w"), rows)
+    inst = ControlInstance(base=base, family=family, goal=CONSTRUCTIVE, system=RV,
+                           distinguished="w", **kwargs)
+    return pytest.param(inst, witness, id=name)
+
+
+@pytest.mark.parametrize("inst, witness", [
+    # each witness reaches the goal, but no action of the instance is that witness
+    _replay_case("5 of a pool group of 1", ADD_VOTERS, [(2, (1, 0, 0))], (5,),
+                 pool=(BallotGroup((0, 0, 1), 1),)),
+    _replay_case("a vector longer than the pool", ADD_VOTERS, [(1, (1, 0, 0))], (2, 0),
+                 pool=(BallotGroup((0, 0, 1), 2),), limit=2),
+    _replay_case("2 deletions at limit 1", DELETE_CANDIDATES,
+                 [(1, (1, 1, 0)), (1, (0, 0, 1))], ("a", "b")),
+    _replay_case("a repeated deletion", DELETE_CANDIDATES,
+                 [(1, (1, 0, 0)), (1, (0, 0, 1))], ("a", "a"), limit=2),
+    _replay_case("3 removals at limit 1", DELETE_VOTERS,
+                 [(3, (1, 0, 0)), (1, (0, 0, 1))], (0, 3)),
+    _replay_case("a non-spoiler addition", ADD_CANDIDATES, [(1, (0, 0, 1))], ("a",),
+                 spoilers=("b",)),
+])
+def test_replay_rejects_an_action_outside_the_instance(inst, witness):
+    with pytest.raises(InvalidInstance):
+        replay_witness(inst, witness)
 
 
 class TestSubsetWinners:
@@ -902,30 +923,3 @@ class TestPinnedOutputs:
             "b23848e752a09d08b6e0e56a1bf4b395226964765549d42f7df609e3fb6c8865"
         )
 
-
-class TestSharedSolvers:
-    PAIRS = {
-        solve_add_candidates: (ADD_CANDIDATES, DELETE_CANDIDATES),
-        solve_add_voters: (ADD_VOTERS, DELETE_VOTERS),
-        solve_partition_candidates: (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES),
-        solve_partition_voters: (PARTITION_VOTERS,),
-    }
-
-    @staticmethod
-    def _one_per_family():
-        found = {}
-        seed = 0
-        while len(found) < 7:
-            inst = gen_random_control_instance(seed, max_actions=500)
-            found.setdefault(inst.family, inst)
-            seed += 1
-        return found
-
-    def test_each_solver_takes_its_pair_and_rejects_the_rest(self):
-        for family, inst in self._one_per_family().items():
-            for solver, pair in self.PAIRS.items():
-                if family in pair:
-                    assert solver(inst) == solve(inst)
-                else:
-                    with pytest.raises(InvalidInstance):
-                        solver(inst)

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from rangecontrol import harness
-from rangecontrol.elections import RV, Election
+from rangecontrol.elections import NRV, RV, Election
 from rangecontrol.gadgets import HittingSetInstance, ScoreIdentity, X3CInstance
 from rangecontrol.harness import (
     AuditSpec,
@@ -34,7 +34,7 @@ from rangecontrol.harness import (
     render_text,
     replay_instance,
 )
-from rangecontrol.oracles import solve_x3c, validate_restricted_hs
+from rangecontrol.oracles import solve_x3c
 
 from helpers import (
     _permuted_families,
@@ -48,12 +48,6 @@ from helpers import (
 class TestGenerators:
     def test_hs_deterministic(self):
         assert gen_random_hs(4, 2, 1, seed=1) == gen_random_hs(4, 2, 1, seed=1)
-
-    def test_hs_restricted_flag(self):
-        inst = gen_random_hs(6, 1, 1, seed=3, restricted=True)
-        assert validate_restricted_hs(inst)
-        with pytest.raises(ValueError):
-            gen_random_hs(6, 2, 1, seed=3, restricted=True)
 
     def test_hs_small_universe_sample_space(self):
         inst = gen_random_hs(2, 5, 1, seed=9)
@@ -348,7 +342,7 @@ class TestIdentityTallies:
             if decision:
                 identities += harness._witness_identities(name, source, gadget, witness)
                 witnessed += len(identities) > len(gadget.identities)
-            alone = tuple(harness.evaluate_identity(gadget.election, gadget.system, i) for i in identities)
+            alone = tuple(harness.evaluate_identity(gadget.election, NRV, i) for i in identities)
             assert harness._record(index, encoding, source, gadget, spec).identities == alone
         if name in ("hs-delete-constructive", "x3c-voter-partition-te",
                     "hs-destructive-candidate-partition"):
