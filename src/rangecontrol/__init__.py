@@ -50,7 +50,6 @@ __all__ = [
     "GadgetOutput",
     "solve_hitting_set",
     "solve_x3c",
-    "validate_restricted_hs",
     "AuditSpec",
     "AuditReport",
     "audit_gadget",
@@ -61,7 +60,7 @@ __all__ = [
 # exports of the audit modules, loaded on first use (PEP 562) so that
 # ``rangecontrol control`` and ``tally`` never import them
 _HARNESS = ("AuditSpec", "AuditReport", "audit_gadget", "check_score_identities")
-_ORACLES = ("solve_hitting_set", "solve_x3c", "validate_restricted_hs")
+_ORACLES = ("solve_hitting_set", "solve_x3c")
 
 
 def __getattr__(name: str):

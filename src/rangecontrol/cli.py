@@ -216,9 +216,7 @@ def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     for w in caught:
         print(f"warning: {w.message}", file=err)
     if not 0 <= args.instance < len(gadget.instances):
-        raise ValueError(
-            f"--instance must be in [0, {len(gadget.instances) - 1}]"
-        )
+        raise ValueError(f"--instance must be in [0, {len(gadget.instances) - 1}]")
     chosen = gadget.instances[args.instance]
     with open(args.output, "w", encoding="utf-8") as handle:
         handle.write(fileio.serialize_election(gadget.election, chosen))
@@ -261,18 +259,21 @@ def _parse_bounds(text: str) -> dict[str, tuple[int, int]]:
         token = token.strip()
         if not token:
             continue
-        if "<=" in token:
-            var, _, hi = token.partition("<=")
-            bounds = (1, int(hi))
-        elif "=" in token:
-            var, _, value = token.partition("=")
-            if ".." in value:
-                lo, _, hi = value.partition("..")
-                bounds = (int(lo), int(hi))
+        try:
+            if "<=" in token:
+                var, _, hi = token.partition("<=")
+                bounds = (1, int(hi))
+            elif "=" in token:
+                var, _, value = token.partition("=")
+                if ".." in value:
+                    lo, _, hi = value.partition("..")
+                    bounds = (int(lo), int(hi))
+                else:
+                    bounds = (int(value), int(value))
             else:
-                bounds = (int(value), int(value))
-        else:
-            raise ValueError(f"cannot parse bound {token!r}")
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"cannot parse bound {token!r}") from None
         var = var.strip()
         if var not in _BOUND_FIELDS:
             raise ValueError(f"unknown bound variable {var!r}")

@@ -47,7 +47,7 @@ import functools
 import itertools
 import math
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .elections import (
@@ -814,21 +814,10 @@ def _check_action(instance: ControlInstance, witness: tuple) -> None:
 
 def scale_instance(instance: ControlInstance, a: int) -> ControlInstance:
     """Scale the base election (and pool ballots) by ``a``; decisions are invariant."""
-    base = scale_election(instance.base, a)
     pool = tuple(
         BallotGroup(tuple(s * a for s in g.scores), g.multiplicity) for g in instance.pool
     )
-    return ControlInstance(
-        base=base,
-        family=instance.family,
-        goal=instance.goal,
-        system=instance.system,
-        distinguished=instance.distinguished,
-        tie_model=instance.tie_model,
-        limit=instance.limit,
-        spoilers=instance.spoilers,
-        pool=pool,
-    )
+    return replace(instance, base=scale_election(instance.base, a), pool=pool)
 
 
 def describe(instance: ControlInstance) -> str:

@@ -25,7 +25,7 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -466,10 +466,9 @@ def encode_hs(hs: HittingSetInstance) -> str:
 
 
 def decode_hs(text: str) -> HittingSetInstance:
-    fields = _decode_fields(text, "hs")
-    universe = tuple(fields["B"].split(","))
-    sets = tuple(tuple(part.split(",")) for part in fields["S"].split(";"))
-    return HittingSetInstance(universe, sets, int(fields["k"]))
+    k, universe, sets = _decode_fields(text, "hs", "k B S")
+    sets = tuple(tuple(part.split(",")) for part in sets.split(";"))
+    return HittingSetInstance(tuple(universe.split(",")), sets, int(k))
 
 
 def encode_x3c(x3c: X3CInstance) -> str:
@@ -478,10 +477,9 @@ def encode_x3c(x3c: X3CInstance) -> str:
 
 
 def decode_x3c(text: str) -> X3CInstance:
-    fields = _decode_fields(text, "x3c")
-    elements = tuple(fields["B"].split(","))
-    sets = tuple(tuple(part.split(",")) for part in fields["S"].split(";"))
-    return X3CInstance(elements, sets)
+    elements, sets = _decode_fields(text, "x3c", "B S")
+    sets = tuple(tuple(part.split(",")) for part in sets.split(";"))
+    return X3CInstance(tuple(elements.split(",")), sets)
 
 
 def encode_deletion_source(source: Election, w: str, limit: int) -> str:
@@ -495,26 +493,26 @@ def encode_deletion_source(source: Election, w: str, limit: int) -> str:
 
 
 def decode_deletion_source(text: str) -> tuple[Election, str, int]:
-    fields = _decode_fields(text, "del-src")
-    cands = tuple(fields["cands"].split(","))
+    k, cands, ballots, w, limit = _decode_fields(text, "del-src", "k cands ballots w limit")
     rows = []
-    if fields["ballots"]:
-        for part in fields["ballots"].split(";"):
+    if ballots:
+        for part in ballots.split(";"):
             mult, scores = part.split("|")
             rows.append((int(mult), tuple(int(s) for s in scores.split(".")) if scores else ()))
-    election = Election.from_rows(int(fields["k"]), cands, rows)
-    return election, fields["w"], int(fields["limit"])
+    election = Election.from_rows(int(k), tuple(cands.split(",")), rows)
+    return election, w, int(limit)
 
 
-def _decode_fields(text: str, tag: str) -> dict[str, str]:
+def _decode_fields(text: str, tag: str, keys: str) -> list[str]:
+    """The values of the space-separated ``keys``, in order, from ``tag key=value ...``."""
     parts = text.split()
     if not parts or parts[0] != tag:
         raise ValueError(f"expected a {tag!r} encoding, got {text!r}")
-    out: dict[str, str] = {}
-    for part in parts[1:]:
-        key, _, value = part.partition("=")
-        out[key] = value
-    return out
+    out = dict(part.partition("=")[::2] for part in parts[1:])
+    missing = [key for key in keys.split() if key not in out]
+    if missing:
+        raise ValueError(f"{tag!r} encoding lacks the field {missing[0]!r}: {text!r}")
+    return [out[key] for key in keys.split()]
 
 
 # ---------------------------------------------------------------------------
@@ -791,20 +789,18 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
 # rendering
 
 def _spec_header(spec: AuditSpec) -> list[str]:
-    fields = [
-        ("gadget", spec.gadget),
-        ("mode", spec.mode),
-        ("n", f"{spec.n[0]}..{spec.n[1]}"),
-        ("m", f"{spec.m[0]}..{spec.m[1]}"),
-        ("k", f"{spec.k[0]}..{spec.k[1]}"),
-        ("sets", f"{spec.sets[0]}..{spec.sets[1]}"),
-        ("trials", spec.trials),
-        ("seed", spec.seed),
-        ("budget", spec.budget if spec.budget is not None else "none"),
-        ("checks", ",".join(spec.checks)),
-        ("isomorphism-free", str(spec.isomorphism_free).lower()),
-    ]
-    return [f"{key}: {value}" for key, value in fields]
+    """One ``key: value`` line per ``AuditSpec`` field, in declaration order."""
+    lines = []
+    for field in fields(AuditSpec):
+        value = getattr(spec, field.name)
+        if field.name == "checks":
+            value = ",".join(value)
+        elif isinstance(value, tuple):
+            value = f"{value[0]}..{value[1]}"
+        elif value is None or isinstance(value, bool):
+            value = str(value).lower()
+        lines.append(f"{field.name.replace('_', '-')}: {value}")
+    return lines
 
 
 def render_text(report: AuditReport) -> str:
@@ -839,27 +835,9 @@ def render_jsonl(report: AuditReport) -> str:
     """One JSON object per instance plus a trailing summary object."""
     lines = []
     for r in report.records:
-        lines.append(json.dumps({
-            "index": r.index,
-            "gadget": report.spec.gadget,
-            "instance": r.encoding,
-            "oracle": r.oracle,
-            "oracle_witness": r.oracle_witness,
-            "solver": [[label, answer] for label, answer in r.solver],
-            "identities": [
-                {
-                    "label": i.label,
-                    "relation": i.relation,
-                    "expected": i.expected,
-                    "computed": i.computed,
-                    "passed": i.passed,
-                }
-                for i in r.identities
-            ],
-            "notes": list(r.notes),
-            "status": r.status,
-            "explored": r.explored,
-        }, sort_keys=True))
+        row = asdict(r)
+        row["instance"] = row.pop("encoding")
+        lines.append(json.dumps({**row, "gadget": report.spec.gadget}, sort_keys=True))
     lines.append(json.dumps({
         "summary": {
             "gadget": report.spec.gadget,

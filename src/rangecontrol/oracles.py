@@ -11,13 +11,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .gadgets import HittingSetInstance, X3CInstance, satisfies_size_restriction
+from .gadgets import HittingSetInstance, X3CInstance
 
 __all__ = [
     "OracleResult",
     "solve_hitting_set",
     "solve_x3c",
-    "validate_restricted_hs",
 ]
 
 
@@ -106,9 +105,6 @@ def solve_x3c(x3c: X3CInstance) -> OracleResult:
         if union == full:
             return OracleResult(True, tuple(x3c.sets[i] for i in combo))
     return OracleResult(False)
-
-
-validate_restricted_hs = satisfies_size_restriction
 
 
 def _mask(members, order) -> int:

@@ -338,6 +338,20 @@ class TestGadget:
         assert code == 0
         assert "action: delete-candidates" in out_path.read_text()
 
+    def test_instance_out_of_range(self, tmp_path):
+        src = tmp_path / "hs.txt"
+        src.write_text("elements: b1 b2\nset: b1\nset: b2\nk: 1\n")
+        code, out, err = cli("gadget", "hs-candidates", str(src), "-o", str(tmp_path / "g.txt"),
+                             "--instance", "5")
+        assert (code, out, err) == (2, "", "error: --instance must be in [0, 2]\n")
+
+    def test_duplicate_set_members_warn(self, tmp_path):
+        src = tmp_path / "hs.txt"
+        src.write_text("elements: b1 b2\nset: b1\nset: b2 b2\nk: 1\n")
+        code, out, err = cli("gadget", "hs-candidates", str(src), "-o", str(tmp_path / "g.txt"))
+        assert code == 0 and out.startswith("gadget: hs-candidates\n")
+        assert err == "warning: line 3: duplicate elements within a set collapsed\n"
+
     def test_builds_through_the_harness_builder(self, tmp_path, monkeypatch):
         from rangecontrol import harness
 
@@ -413,6 +427,11 @@ class TestVerify:
         code, _, err = cli("verify", "--gadget", "hs-candidates",
                            "--exhaustive", "q<=4")
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("bound", ["q", "n<=", "n=..3"])
+    def test_an_unparsable_bound_is_named(self, bound):
+        code, out, err = cli("verify", "--gadget", "hs-candidates", "--exhaustive", bound)
+        assert (code, out, err) == (2, "", f"error: cannot parse bound {bound!r}\n")
 
     @pytest.mark.parametrize("args", [
         ("--exhaustive", "n=3..1"),

@@ -101,6 +101,10 @@ class TestSurvivors:
         assert subelection_survivors(e, RV, TIES_PROMOTE) == {"a", "b"}
         assert subelection_survivors(e, RV, TIES_ELIMINATE) == frozenset()
 
+    def test_unknown_tie_model(self):
+        with pytest.raises(ValueError, match="unknown tie model 'coin-flip'"):
+            subelection_survivors(Election(1, ("a",)), RV, "coin-flip")
+
 
 class TestAddCandidates:
     def test_already_winning_needs_nothing(self):
@@ -187,6 +191,17 @@ class TestAddVoters:
     def test_two_additions_win(self):
         out = solve(self._inst(2))
         assert out.decision is True and out.witness == (2,)
+
+    @pytest.mark.parametrize("system", [RV, NRV])
+    def test_a_witness_taking_pool_voters_replays(self, system):
+        base = election(2, ("a", "b", "w"), [(2, (2, 1, 0)), (1, (0, 2, 1))])
+        pool = (BallotGroup((0, 0, 2), 1), BallotGroup((1, 0, 2), 3))
+        inst = ControlInstance(base=base, family=ADD_VOTERS, goal=CONSTRUCTIVE,
+                               system=system, distinguished="w", pool=pool, limit=3)
+        out = solve(inst)
+        assert out.decision is True and out.witness == (1, 2)
+        assert replay_witness(inst, out.witness) is True
+        assert brute_control(inst) is True
 
     def test_wrong_pool_width(self):
         with pytest.raises(InvalidInstance):
@@ -325,6 +340,20 @@ class TestInstanceValidation:
         with pytest.raises(InvalidInstance):
             ControlInstance(base=self.BASE, family=DELETE_CANDIDATES, goal=CONSTRUCTIVE,
                             system=RV, distinguished="w", limit=1, spoilers=("a",))
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"goal": "neutral"}, "goal must be constructive or destructive, got 'neutral'"),
+        ({"system": "approval"}, "unknown system 'approval'"),
+        ({"family": ADD_CANDIDATES, "spoilers": ("zz",)}, "spoilers not in the base election"),
+        ({"family": PARTITION_VOTERS, "tie_model": TIES_PROMOTE}, "partition control takes no limit"),
+        ({"tie_model": TIES_PROMOTE}, "tie model only applies to partition control"),
+        ({"pool": (BallotGroup((0, 1), 1),)}, "a voter pool is only meaningful for add-voters"),
+    ], ids=["goal", "system", "unknown-spoilers", "partition-limit", "ties", "pool"])
+    def test_rejection(self, changes, message):
+        fields = dict(base=self.BASE, family=DELETE_VOTERS, goal=CONSTRUCTIVE, system=RV,
+                      distinguished="w", limit=1)
+        with pytest.raises(InvalidInstance, match=f"^{message}"):
+            ControlInstance(**{**fields, **changes})
 
     def test_describe_is_stable(self):
         inst = ControlInstance(base=self.BASE, family=DELETE_VOTERS, goal=CONSTRUCTIVE,

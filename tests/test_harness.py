@@ -180,6 +180,16 @@ class TestEncodings:
         with pytest.raises(ValueError):
             decode_hs("x3c B=b1 S=b1")
 
+    @pytest.mark.parametrize("gadget, encoding, tag, field", [
+        ("hs-candidates", "hs k=1 B=b1", "hs", "S"),
+        ("x3c-voter-partition-te", "x3c S=b1,b2,b3", "x3c", "B"),
+        ("deletion-to-candidate-partition", "del-src k=2 cands=a,w ballots=1|2.0 w=w",
+         "del-src", "limit"),
+    ], ids=["hs", "x3c", "del-src"])
+    def test_a_missing_field_is_named(self, gadget, encoding, tag, field):
+        with pytest.raises(ValueError, match=f"^'{tag}' encoding lacks the field '{field}'"):
+            replay_instance(gadget, encoding)
+
 
 class TestAudits:
     def test_hs_candidates_sweep_agrees(self):
@@ -363,6 +373,15 @@ class TestReports:
         assert "summary" in rows[-1]
         for row in rows[:-1]:
             assert {"gadget", "instance", "oracle", "solver", "status"} <= set(row)
+
+    def test_rows_and_header_carry_every_field(self):
+        report = audit_gadget(self.SPEC)
+        row = json.loads(render_jsonl(report).splitlines()[0])
+        names = {f.name for f in dataclasses.fields(harness.InstanceRecord)}
+        assert set(row) == names - {"encoding"} | {"instance", "gadget"}
+        header = render_text(report).splitlines()[1:12]
+        keys = [f.name.replace("_", "-") for f in dataclasses.fields(AuditSpec)]
+        assert [line.partition(": ")[0] for line in header] == keys
 
     def test_text_mentions_every_instance(self):
         report = audit_gadget(self.SPEC)

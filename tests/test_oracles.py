@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rangecontrol.gadgets import GadgetError, HittingSetInstance, X3CInstance
-from rangecontrol.harness import gen_random_hs
-from rangecontrol.oracles import (
-    solve_hitting_set,
-    solve_x3c,
-    validate_restricted_hs,
+from rangecontrol.gadgets import (
+    GadgetError,
+    HittingSetInstance,
+    X3CInstance,
+    satisfies_size_restriction,
 )
+from rangecontrol.harness import gen_random_hs
+from rangecontrol.oracles import solve_hitting_set, solve_x3c
 
 from helpers import brute_hitting_set, brute_x3c, hitting_set_exhaustive
 
@@ -119,11 +120,11 @@ class TestX3C:
 class TestRestrictedValidation:
     def test_tight_case_valid(self):
         inst = hs([f"b{i}" for i in range(1, 7)], [["b1"]], 1)
-        assert validate_restricted_hs(inst) is True
+        assert satisfies_size_restriction(inst) is True
 
     def test_two_sets_too_many(self):
         inst = hs([f"b{i}" for i in range(1, 7)], [["b1"], ["b2"]], 1)
-        assert validate_restricted_hs(inst) is False
+        assert satisfies_size_restriction(inst) is False
 
     def test_empty_family_rejected_upstream(self):
         with pytest.raises(GadgetError):
