@@ -19,7 +19,11 @@ Enumeration canon (fixes witnesses and explored counts):
   group most significant.
 
 The first success in this order is the canonical witness.  Solvers
-evaluate actions one at a time, in a single thread, in this order.
+evaluate actions one at a time, in a single thread, in this order.  A
+"no" may be proven in another order first: its outcome depends on the
+number of actions and the budget alone, so any walk that covers every
+action without a success fixes it, and only a success needs the
+canonical walk (partition of voters under ties-eliminate does this).
 Candidate-set subelections are decided from the base ballots' columns,
 never by projecting ballots.  Under ``nrv`` their totals drop the factor
 ``k`` and each ballot's offset ``-lo`` from the :func:`integer_rows`
@@ -468,6 +472,45 @@ def _scan_counts(walk: Iterable[tuple], evaluate: Callable, budget: int | None) 
     return ControlOutcome(out.decision, out.witness[0] if out.decision else None, out.explored)
 
 
+def _prove_no(steps: Iterable[tuple[int, object]], evaluate: Callable, cap: int | None) -> int | None:
+    """How many actions ``steps`` covers when none of them succeeds, else None.
+
+    The steps are ``_scan``'s, in any order.  ``cap`` bounds the steps
+    taken, evaluated or skipped: past it the proof gives up with None.
+    """
+    covered = 0
+    for taken, (size, action) in enumerate(steps):
+        if taken == cap or action is not None and evaluate(action):
+            return None
+        covered += size
+    return covered
+
+
+def _decide_first(
+    walk: Callable[[Sequence[int]], Iterable[tuple]],
+    order: Sequence[int],
+    evaluate: Callable,
+    budget: int | None,
+) -> ControlOutcome:
+    """``_scan_counts`` of the canonical odometer walk, a "no" proven first in ``order``.
+
+    ``walk(order)`` is the odometer over the groups in ``order``.  A "no"
+    outcome depends on the box size ``N`` and the budget alone, ``(False,
+    None, N)`` or, when ``budget < N``, ``(None, None, budget)``, so a walk
+    in any order that covers the box without a success proves it.  Only
+    a success, or a proof past ``budget`` steps, leaves the answer to the
+    canonical walk, under the same budget.
+    """
+    canonical = range(len(order))
+    if list(order) != list(canonical):
+        covered = _prove_no(walk(order), evaluate, budget)
+        if covered is not None:
+            if budget is not None and covered > budget:
+                return ControlOutcome(None, None, budget)
+            return ControlOutcome(False, None, covered)
+    return _scan_counts(walk(canonical), evaluate, budget)
+
+
 # ---------------------------------------------------------------------------
 # per-family solvers
 
@@ -601,14 +644,32 @@ def _solve_voter_partition(
     group ``i`` into the first subelection, the rest into the second.
     By multiplicity linearity this covers every voter partition.  Both
     subelections use the full candidate set; the survivors' union faces
-    the full voter set in the final round.
+    the full voter set in the final round.  Under ties-eliminate a "no"
+    is first sought in :func:`_partition_walk`'s proof order.
+    """
+    walk, evaluate, order = _partition_walk(instance)
+    if instance.tie_model == TIES_PROMOTE:
+        order.sort()  # promote's "no" proofs measured slower in the proof order
+    return _decide_first(walk, order, evaluate, budget)
+
+
+def _partition_walk(instance: ControlInstance) -> tuple[Callable, Callable, list[int]]:
+    """The partition-voters odometer over any group order, its evaluator, and its proof order.
+
+    ``walk(order)`` scans the full box of split vectors with the groups in
+    ``order``, the first most significant; ``range(groups)`` is the
+    canonical walk.  Its steps carry the split vector in that order and
+    the first side's totals, which are all ``evaluate`` reads.  The proof
+    order puts the groups by ``mult * (max(row) - min(row))``, largest
+    first: the groups that move the margins most are fixed first, so the
+    bounds close whole subtrees early.
 
     Swapping the sides leaves the finalists alone, so a split vector and
     its complement ``mults - vec`` decide alike, and whichever of the two
-    comes later in canonical order can succeed only if the earlier one
-    did.  A subtree of the scan is therefore skipped as soon as its fixed
-    entries' first one with ``2 * v != m`` has ``2 * v > m`` (each of its
-    vectors comes after its complement), and otherwise once every pair of
+    comes later in the walk's order can succeed only if the earlier one
+    did.  A subtree is therefore skipped as soon as its fixed entries'
+    first one with ``2 * v != m`` has ``2 * v > m`` (each of its vectors
+    comes after its complement), and otherwise once every pair of
     survivor sets its sides can reach fails (see :func:`_margin_lines`).
     """
     base = instance.base
@@ -617,33 +678,6 @@ def _solve_voter_partition(
     wanted = 1 << base.index(instance.distinguished)
     winners = functools.cache(_subset_winners(base, instance.system))
     goal, promote = instance.goal, instance.tie_model == TIES_PROMOTE
-    lines = _margin_lines(rows, mults, len(full))
-
-    def dead(level: int, vec: list[int], first: list[int], room: int) -> bool:
-        for i in range(level):
-            if 2 * vec[i] != mults[i]:
-                if 2 * vec[i] > mults[i]:
-                    return True  # the mirror half: every complement came first
-                break
-        lead_rows, lead_columns, top_rows, top_columns = lines[level]
-        lead1 = _lone_leader(first, lead_rows)
-        if not lead1 and promote:
-            return False  # a side without a sure lone winner may promote any tie
-        second = list(map(operator.sub, full, first))
-        lead2 = _lone_leader(second, lead_columns)
-        if lead1 and lead2:
-            finalists = [lead1 | lead2]
-        elif promote:
-            return False
-        elif not lead1 and not lead2 and goal == DESTRUCTIVE:
-            return False  # both sides may tie, leaving no finalist and so no winner
-        else:
-            # ties-eliminate: a side's survivors are its sure leader, else nobody or a possible lone top
-            d1 = (lead1,) if lead1 else (0, *_possible_lone_tops(first, top_columns))
-            d2 = (lead2,) if lead2 else (0, *_possible_lone_tops(second, top_rows))
-            finalists = [a | b for a in d1 for b in d2]
-        return not any(_goal_met(goal, wanted, winners(mask)) for mask in finalists)
-
     survivors = _top if promote else _lone_top
 
     def evaluate(action: tuple) -> bool:
@@ -651,9 +685,41 @@ def _solve_voter_partition(
         second = list(map(operator.sub, full, first))
         return _goal_met(goal, wanted, winners(survivors(first) | survivors(second)))
 
-    # cap_sum = sum(mults) admits every split vector: the full box, lexicographically
-    walk = _odometer(mults, sum(mults), rows, [0] * len(full), dead)
-    return _scan_counts(walk, evaluate, budget)
+    def walk(order: Sequence[int]) -> Iterator[tuple[int, tuple | None]]:
+        caps = [mults[i] for i in order]
+        moves = [rows[i] for i in order]
+        lines = _margin_lines(moves, caps, len(full))
+
+        def dead(level: int, vec: list[int], first: list[int], room: int) -> bool:
+            for i in range(level):
+                if 2 * vec[i] != caps[i]:
+                    if 2 * vec[i] > caps[i]:
+                        return True  # the mirror half: every complement came first
+                    break
+            lead_rows, lead_columns, top_rows, top_columns = lines[level]
+            lead1 = _lone_leader(first, lead_rows)
+            if not lead1 and promote:
+                return False  # a side without a sure lone winner may promote any tie
+            second = list(map(operator.sub, full, first))
+            lead2 = _lone_leader(second, lead_columns)
+            if lead1 and lead2:
+                finalists = [lead1 | lead2]
+            elif promote:
+                return False
+            elif not lead1 and not lead2 and goal == DESTRUCTIVE:
+                return False  # both sides may tie, leaving no finalist and so no winner
+            else:
+                # ties-eliminate: a side's survivors are its sure leader, else nobody or a possible lone top
+                d1 = (lead1,) if lead1 else (0, *_possible_lone_tops(first, top_columns))
+                d2 = (lead2,) if lead2 else (0, *_possible_lone_tops(second, top_rows))
+                finalists = [a | b for a in d1 for b in d2]
+            return not any(_goal_met(goal, wanted, winners(mask)) for mask in finalists)
+
+        # cap_sum = sum(mults) admits every split vector: the full box, lexicographically
+        return _odometer(caps, sum(mults), moves, [0] * len(full), dead)
+
+    spread = [m * (max(row) - min(row)) for m, row in zip(mults, rows)]
+    return walk, evaluate, sorted(range(len(rows)), key=spread.__getitem__, reverse=True)
 
 
 def _margin_lines(rows: Sequence[Sequence[int]], mults: Sequence[int], n: int) -> list[tuple]:
@@ -713,8 +779,10 @@ def solve(
 ) -> ControlOutcome:
     """Dispatch to the family-specific exhaustive solver.
 
-    ``workers`` is accepted for compatibility and has no effect: every
-    solve runs in one thread.  A negative ``budget`` is a ValueError.
+    The outcome is the canonical scan's, though a "no" may be proven by a
+    walk in another order (see the module docstring).  ``workers`` is
+    accepted for compatibility and has no effect: every solve runs in one
+    thread.  A negative ``budget`` is a ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")

@@ -466,9 +466,8 @@ def encode_hs(hs: HittingSetInstance) -> str:
 
 
 def decode_hs(text: str) -> HittingSetInstance:
-    k, universe, sets = _decode_fields(text, "hs", "k B S")
-    sets = tuple(tuple(part.split(",")) for part in sets.split(";"))
-    return HittingSetInstance(tuple(universe.split(",")), sets, int(k))
+    k, universe, sets = _decode_fields(text, "hs", k=int, B=_names, S=_name_sets)
+    return HittingSetInstance(universe, sets, k)
 
 
 def encode_x3c(x3c: X3CInstance) -> str:
@@ -477,9 +476,7 @@ def encode_x3c(x3c: X3CInstance) -> str:
 
 
 def decode_x3c(text: str) -> X3CInstance:
-    elements, sets = _decode_fields(text, "x3c", "B S")
-    sets = tuple(tuple(part.split(",")) for part in sets.split(";"))
-    return X3CInstance(tuple(elements.split(",")), sets)
+    return X3CInstance(*_decode_fields(text, "x3c", B=_names, S=_name_sets))
 
 
 def encode_deletion_source(source: Election, w: str, limit: int) -> str:
@@ -493,26 +490,44 @@ def encode_deletion_source(source: Election, w: str, limit: int) -> str:
 
 
 def decode_deletion_source(text: str) -> tuple[Election, str, int]:
-    k, cands, ballots, w, limit = _decode_fields(text, "del-src", "k cands ballots w limit")
+    k, cands, rows, w, limit = _decode_fields(
+        text, "del-src", k=int, cands=_names, ballots=_ballot_rows, w=str, limit=int
+    )
+    return Election.from_rows(k, cands, rows), w, limit
+
+
+def _names(value: str) -> tuple[str, ...]:
+    return tuple(value.split(","))
+
+
+def _name_sets(value: str) -> tuple[tuple[str, ...], ...]:
+    return tuple(map(_names, value.split(";")))
+
+
+def _ballot_rows(value: str) -> list[tuple[int, tuple[int, ...]]]:
     rows = []
-    if ballots:
-        for part in ballots.split(";"):
-            mult, scores = part.split("|")
-            rows.append((int(mult), tuple(int(s) for s in scores.split(".")) if scores else ()))
-    election = Election.from_rows(int(k), tuple(cands.split(",")), rows)
-    return election, w, int(limit)
+    for part in value.split(";") if value else ():
+        mult, scores = part.split("|")
+        rows.append((int(mult), tuple(int(s) for s in scores.split(".")) if scores else ()))
+    return rows
 
 
-def _decode_fields(text: str, tag: str, keys: str) -> list[str]:
-    """The values of the space-separated ``keys``, in order, from ``tag key=value ...``."""
+def _decode_fields(text: str, tag: str, **parsers: Callable[[str], object]) -> list:
+    """The parsed values of the fields named by ``parsers``, in order, from ``tag key=value ...``."""
     parts = text.split()
     if not parts or parts[0] != tag:
         raise ValueError(f"expected a {tag!r} encoding, got {text!r}")
     out = dict(part.partition("=")[::2] for part in parts[1:])
-    missing = [key for key in keys.split() if key not in out]
+    missing = [key for key in parsers if key not in out]
     if missing:
         raise ValueError(f"{tag!r} encoding lacks the field {missing[0]!r}: {text!r}")
-    return [out[key] for key in keys.split()]
+    values = []
+    for key, parse in parsers.items():
+        try:
+            values.append(parse(out[key]))
+        except ValueError:
+            raise ValueError(f"{tag!r} encoding has a malformed field {key!r}: {text!r}") from None
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -63,7 +63,12 @@ from rangecontrol.gadgets import (
     gadget_hs_destructive_candidate_partition,
     gadget_x3c_voter_partition_te,
 )
-from rangecontrol.harness import gen_random_control_instance, gen_random_election
+from rangecontrol.harness import (
+    build_gadget,
+    gen_random_control_instance,
+    gen_random_election,
+    gen_random_x3c,
+)
 
 from helpers import (
     _capped_vectors,
@@ -853,6 +858,37 @@ def assert_no_mirror_evaluated(evaluated, mults) -> None:
         assert i is None or i == len(mults) - 1 or 2 * vec[i] < mults[i], vec
 
 
+def record_proofs(monkeypatch) -> list[list[int]]:
+    """Make every later decide-first proof append ``[steps taken, actions evaluated]``
+    to the returned list; ``record_evaluations`` and ``count_evaluations`` see only ``_scan``."""
+    proofs = []
+    prove = control._prove_no
+
+    def recording_prove(steps, evaluate, cap):
+        proof = [0, 0]
+        proofs.append(proof)
+
+        def counted_steps():
+            for step in steps:
+                proof[0] += 1
+                yield step
+
+        def counted(action):
+            proof[1] += 1
+            return evaluate(action)
+        return prove(counted_steps(), counted, cap)
+
+    monkeypatch.setattr(control, "_prove_no", recording_prove)
+    return proofs
+
+
+# no two of these triples are disjoint, so there is no exact cover
+(NO_COVER_PARTITION,) = gadget_x3c_voter_partition_te(X3CInstance(
+    ("b1", "b2", "b3", "b4", "b5", "b6"),
+    (("b1", "b2", "b3"), ("b1", "b4", "b5"), ("b2", "b4", "b6")),
+)).instances
+
+
 class TestMirrorSkip:
     EDGE_CASES = (
         # the first two canonical witnesses send half of the first group to each side:
@@ -890,17 +926,78 @@ class TestMirrorSkip:
 
     def test_the_x3c_no_scan_skips_the_mirror_half(self, monkeypatch):
         evaluated = record_evaluations(monkeypatch)
-        # no two of these triples are disjoint, so there is no exact cover
-        x3c = X3CInstance(("b1", "b2", "b3", "b4", "b5", "b6"),
-                          (("b1", "b2", "b3"), ("b1", "b4", "b5"), ("b2", "b4", "b6")))
-        (partition,) = gadget_x3c_voter_partition_te(x3c).instances
-        out = solve(partition)
+        partition = NO_COVER_PARTITION
+        walk, evaluate, order = control._partition_walk(partition)
+        out = control._scan_counts(walk(range(len(order))), evaluate, None)  # the canonical walk
         assert out.decision is False
         assert out.explored == search_space(partition)
         assert_no_mirror_evaluated(evaluated, [g.multiplicity for g in partition.base.ballots])
         # the margin bounds alone leave about one vector in six to evaluate
         assert len(evaluated) * 10 < out.explored
         assert (len(evaluated), out.explored) == (9065, 107520)
+
+
+class TestDecideFirst:
+    def test_the_proof_holds_in_every_group_order(self, monkeypatch):
+        # the proof's decision does not depend on the group order, and a solve that
+        # proves first still gives the canonical walk's outcome at every budget
+        rng = random.Random("decide-first")
+        proofs = record_proofs(monkeypatch)
+        instances = [inst for inst in map(random_voter_instance, range(90))
+                     if inst.family == PARTITION_VOTERS]
+        decisions = set()
+        for inst in instances + [replace(inst, base=even_partition_election(seed), distinguished="w")
+                                 for seed, inst in enumerate(instances[:6])]:
+            for goal, system, tie_model in itertools.product(
+                (CONSTRUCTIVE, DESTRUCTIVE), (RV, NRV), (TIES_PROMOTE, TIES_ELIMINATE)
+            ):
+                variant = replace(inst, goal=goal, system=system, tie_model=tie_model)
+                space = search_space(variant)
+                decision = reference_scan(variant)[0]
+                walk, evaluate, order = control._partition_walk(variant)
+                for shuffled in [order] + [rng.sample(order, len(order)) for _ in range(2)]:
+                    covered = control._prove_no(walk(shuffled), evaluate, None)
+                    assert covered == (None if decision else space), (variant, shuffled)
+                for budget in (None, 0, 1, space // 2, space - 1, space):
+                    out = solve(variant, budget=budget)
+                    expected = reference_scan(variant, budget)
+                    assert (out.decision, out.witness, out.explored) == expected, (variant, budget)
+                decisions.add((tie_model, decision))
+        assert len(decisions) == 4 and sum(evaluated for _, evaluated in proofs)
+
+    def test_the_seven_set_no_is_proven_in_a_few_evaluations(self, monkeypatch):
+        canonical = record_evaluations(monkeypatch)
+        proofs = record_proofs(monkeypatch)
+        gadget = build_gadget("x3c-voter-partition-te", gen_random_x3c(2, 7, 0, planted=False))
+        (partition,) = gadget.instances
+        out = solve(partition)
+        assert (out.decision, out.witness, out.explored) == (False, None, 6_635_520)
+        # 14 evaluations at this writing; the canonical walk evaluates 1,172,625
+        ((_, evaluated),) = proofs
+        assert evaluated <= 20 and not canonical, (evaluated, len(canonical))
+
+    def test_the_x3c_no_takes_no_canonical_walk(self, monkeypatch):
+        canonical = record_evaluations(monkeypatch)
+        proofs = record_proofs(monkeypatch)
+        out = solve(NO_COVER_PARTITION)
+        assert (out.decision, out.explored) == (False, 107520)
+        # one proof of 114 steps evaluates nothing, where the canonical walk alone
+        # evaluates 9,065 (TestMirrorSkip)
+        assert (proofs, len(canonical)) == ([[114, 0]], 0)
+
+    def test_a_budget_caps_the_proof_steps(self, monkeypatch):
+        proofs = record_proofs(monkeypatch)
+        for budget in (0, 1, 113, 114, 1000):
+            proofs.clear()
+            out = solve(NO_COVER_PARTITION, budget=budget)
+            assert (out.decision, out.witness, out.explored) == (None, None, budget)
+            # the proof takes a step past its cap only to find it there
+            assert proofs == [[min(budget + 1, 114), 0]], budget
+
+    def test_promote_walks_canonically_alone(self, monkeypatch):
+        proofs = record_proofs(monkeypatch)
+        out = solve(replace(NO_COVER_PARTITION, tie_model=TIES_PROMOTE))
+        assert (out.decision, out.explored, proofs) == (False, 107520, [])
 
 
 class TestMarginLines:

@@ -246,6 +246,21 @@ class TestX3cVoterPartitionTe:
         assert solve_x3c(x3c).decision is False
         assert self.replayed_js(x3c) == []
 
+    # README finding 7: side 1 = the balance voter plus four set voters that cover
+    # every element twice; it gives c 2 + 4 * 2 = 10 and each element 4 * 2 = 8
+    def test_a_two_fold_cover_denies_w_at_k2_without_an_exact_cover(self):
+        elems = tuple(f"b{i}" for i in range(1, 7))
+        twice = (("b1", "b2", "b3"), ("b1", "b4", "b5"), ("b2", "b4", "b6"), ("b3", "b5", "b6"))
+        x3c = X3CInstance(elems, twice)
+        assert solve_x3c(x3c).decision is False  # every two of the sets meet
+        g = gadget_x3c_voter_partition_te(x3c)
+        counts = [0] * len(g.election.ballots)
+        counts[_group_index(g.election, {"w": 4, "c": 2})] += 1
+        for s in twice:  # a set's voter scores 4 for each element outside it
+            counts[_group_index(g.election, {**{b: 4 for b in elems if b not in s}, "c": 2})] += 1
+        assert replay_witness(g.instances[0], tuple(counts))
+        assert solve(g.instances[0]).decision is True
+
     def test_k3_audit_disagrees_on_every_no_record(self):
         report = audit_gadget(AuditSpec(gadget="x3c-voter-partition-te", mode="random",
                                         k=(3, 3), sets=(4, 5), trials=6, seed=1))

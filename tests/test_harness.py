@@ -190,6 +190,19 @@ class TestEncodings:
         with pytest.raises(ValueError, match=f"^'{tag}' encoding lacks the field '{field}'"):
             replay_instance(gadget, encoding)
 
+    @pytest.mark.parametrize("gadget, encoding, tag, field", [
+        ("hs-candidates", "hs k=x B=b1 S=b1", "hs", "k"),
+        ("deletion-to-candidate-partition", "del-src k=2 cands=a,w ballots=1 w=w limit=1",
+         "del-src", "ballots"),
+        ("deletion-to-candidate-partition", "del-src k=2 cands=a,w ballots=1|2.x w=w limit=1",
+         "del-src", "ballots"),
+        ("deletion-to-candidate-partition", "del-src k=2 cands=a,w ballots=1|2.0 w=w limit=",
+         "del-src", "limit"),
+    ], ids=["hs-k", "del-src-no-bar", "del-src-score", "del-src-limit"])
+    def test_a_malformed_field_is_named(self, gadget, encoding, tag, field):
+        with pytest.raises(ValueError, match=f"^'{tag}' encoding has a malformed field '{field}'"):
+            replay_instance(gadget, encoding)
+
 
 class TestAudits:
     def test_hs_candidates_sweep_agrees(self):
