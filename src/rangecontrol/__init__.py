@@ -6,6 +6,8 @@ instances into control gadget elections, and audit each gadget's claimed
 equivalence against independent brute-force oracles.
 """
 
+import importlib
+
 from .control import (
     ControlInstance,
     ControlOutcome,
@@ -25,7 +27,6 @@ from .elections import (
     scale_election,
     tally,
 )
-from .gadgets import GadgetOutput, HittingSetInstance, X3CInstance
 
 __version__ = "0.1.0"
 
@@ -57,15 +58,17 @@ __all__ = [
     "__version__",
 ]
 
-# exports of the audit modules, loaded on first use (PEP 562) so that
-# ``rangecontrol control`` and ``tally`` never import them
-_HARNESS = ("AuditSpec", "AuditReport", "audit_gadget", "check_score_identities")
-_ORACLES = ("solve_hitting_set", "solve_x3c")
+# exports of the gadget and audit modules, loaded on first use (PEP 562) so
+# that ``rangecontrol control`` and ``tally`` never import them
+_LAZY = {
+    "gadgets": ("GadgetOutput", "HittingSetInstance", "X3CInstance"),
+    "harness": ("AuditSpec", "AuditReport", "audit_gadget", "check_score_identities"),
+    "oracles": ("solve_hitting_set", "solve_x3c"),
+}
 
 
 def __getattr__(name: str):
-    if name not in _HARNESS + _ORACLES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import harness, oracles
-
-    return getattr(harness if name in _HARNESS else oracles, name)
+    for module, names in _LAZY.items():
+        if name in names:
+            return getattr(importlib.import_module(f".{module}", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

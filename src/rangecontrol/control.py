@@ -24,6 +24,15 @@ evaluate actions one at a time, in a single thread, in this order.  A
 number of actions and the budget alone, so any walk that covers every
 action without a success fixes it, and only a success needs the
 canonical walk (partition of voters under ties-eliminate does this).
+A rival that scores at least the distinguished candidate's score on
+every ballot an action can count dominates them (:func:`_dominators`):
+in any election that holds both, over any of those ballots, the rival's
+total is at least theirs, under ``rv`` and under ``nrv`` alike, since
+``nrv`` maps each ballot's scores by one nondecreasing affine map and a
+zero-span ballot counts 0 for everyone.  So the distinguished candidate
+is never the lone winner of an election that holds a dominator.  The
+solvers decide such an election without tallying it, and a constructive
+voter instance with a dominator is a "no" without a walk.
 Candidate-set subelections are decided from the base ballots' columns,
 never by projecting ballots.  Under ``nrv`` their totals drop the factor
 ``k`` and each ballot's offset ``-lo`` from the :func:`integer_rows`
@@ -112,6 +121,7 @@ FAMILIES = (
     PARTITION_VOTERS,
 )
 _PARTITION_FAMILIES = (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES, PARTITION_VOTERS)
+_VOTER_FAMILIES = (ADD_VOTERS, DELETE_VOTERS, PARTITION_VOTERS)
 
 CONSTRUCTIVE = "constructive"
 DESTRUCTIVE = "destructive"
@@ -314,6 +324,19 @@ def _subset_winners(base: Election, system: str) -> Callable[[int], int]:
     return winners
 
 
+def _dominators(instance: ControlInstance) -> int:
+    """Bitmask of the rivals whose score is at least the distinguished candidate's
+    on every ballot group an action can count: the base groups, and the pool
+    when adding voters.  Each rival's column is compared in one C-level pass."""
+    candidates = instance.base.candidates
+    scores = [g.scores for g in instance.base.ballots + instance.pool]
+    columns = list(zip(*scores)) or [()] * len(candidates)  # no ballots: every total is 0
+    w = candidates.index(instance.distinguished)
+    mine = columns[w]
+    return sum(1 << c for c, column in enumerate(columns)
+               if c != w and all(map(operator.ge, column, mine)))
+
+
 def _mask_of(candidates: tuple[str, ...], members: Iterable[str]) -> int:
     return sum(1 << candidates.index(c) for c in members)
 
@@ -472,6 +495,14 @@ def _scan_counts(walk: Iterable[tuple], evaluate: Callable, budget: int | None) 
     return ControlOutcome(out.decision, out.witness[0] if out.decision else None, out.explored)
 
 
+def _no_outcome(size: int, budget: int | None) -> ControlOutcome:
+    """The outcome of a "no" over ``size`` actions: the canonical scan covers
+    them all, unless ``budget`` ends it first."""
+    if budget is not None and size > budget:
+        return ControlOutcome(None, None, budget)
+    return ControlOutcome(False, None, size)
+
+
 def _prove_no(steps: Iterable[tuple[int, object]], evaluate: Callable, cap: int | None) -> int | None:
     """How many actions ``steps`` covers when none of them succeeds, else None.
 
@@ -505,9 +536,7 @@ def _decide_first(
     if list(order) != list(canonical):
         covered = _prove_no(walk(order), evaluate, budget)
         if covered is not None:
-            if budget is not None and covered > budget:
-                return ControlOutcome(None, None, budget)
-            return ControlOutcome(False, None, covered)
+            return _no_outcome(covered, budget)
     return _scan_counts(walk(canonical), evaluate, budget)
 
 
@@ -541,14 +570,20 @@ def _solve_candidate_subset(
 
     Spoilers start unregistered and every deletable candidate starts
     registered, so toggling the chosen candidates covers both actions.
+    A kept set that holds a dominator is decided without a tally.
     """
     base = instance.base
     registered = _mask_of(base.candidates, instance.registered)
     wanted = 1 << base.index(instance.distinguished)
     winners = _subset_winners(base, instance.system)
+    dominators = _dominators(instance)
+    beaten = instance.goal == DESTRUCTIVE  # the verdict when a dominator stands
 
     def evaluate(chosen: tuple[str, ...]) -> bool:
-        return _goal_met(instance.goal, wanted, winners(registered ^ _mask_of(base.candidates, chosen)))
+        kept = registered ^ _mask_of(base.candidates, chosen)
+        if kept & dominators:
+            return beaten
+        return _goal_met(instance.goal, wanted, winners(kept))
 
     actions = _subsets_by_size(_candidate_domain(instance), instance.limit)
     return _scan(_each(actions), evaluate, budget)
@@ -571,6 +606,7 @@ def _solve_voter_count(
     ``j_i`` voters of group ``i``.  Each move adds a pool row to the
     base totals, or subtracts a base row from them.  A subtree of the
     scan is skipped once the moves left to it cannot change the verdict.
+    :func:`solve` answers a constructive instance with a dominator itself.
     """
     base = instance.base
     rows, mults = _voter_rows(instance, base.ballots + instance.pool)
@@ -614,19 +650,31 @@ def _solve_candidate_partition(
     The first group runs a subelection.  Its survivors face the second
     group in the final election over the full voter set; with a runoff,
     the second group first runs a subelection of its own.
+
+    A dominator on the distinguished candidate's own side decides the
+    action untallied: it either knocks them out there or, tied with them,
+    goes on with them (as every member of a group without a runoff does).
+    So does a final round that lacks them or holds a dominator.
     """
     base = instance.base
     everyone = (1 << len(base.candidates)) - 1
     wanted = 1 << base.index(instance.distinguished)
     winners = functools.cache(_subset_winners(base, instance.system))
     runoff = instance.family == RUNOFF_PARTITION_CANDIDATES
+    dominators = _dominators(instance)
+    beaten = instance.goal == DESTRUCTIVE  # the verdict when a dominator stands
 
     def evaluate(mask: int) -> bool:
-        first = _survivors(winners(mask), instance.tie_model)
         second = everyone ^ mask
+        if (mask if mask & wanted else second) & dominators:
+            return beaten
+        first = _survivors(winners(mask), instance.tie_model)
         if runoff:
             second = _survivors(winners(second), instance.tie_model)
-        return _goal_met(instance.goal, wanted, winners(first | second))
+        finalists = first | second
+        if not finalists & wanted or finalists & dominators:
+            return beaten
+        return _goal_met(instance.goal, wanted, winners(finalists))
 
     outcome = _scan(_each(range(everyone + 1)), evaluate, budget)
     if not outcome.decision:
@@ -646,6 +694,7 @@ def _solve_voter_partition(
     subelections use the full candidate set; the survivors' union faces
     the full voter set in the final round.  Under ties-eliminate a "no"
     is first sought in :func:`_partition_walk`'s proof order.
+    :func:`solve` answers a constructive instance with a dominator itself.
     """
     walk, evaluate, order = _partition_walk(instance)
     if instance.tie_model == TIES_PROMOTE:
@@ -780,12 +829,15 @@ def solve(
     """Dispatch to the family-specific exhaustive solver.
 
     The outcome is the canonical scan's, though a "no" may be proven by a
-    walk in another order (see the module docstring).  ``workers`` is
-    accepted for compatibility and has no effect: every solve runs in one
-    thread.  A negative ``budget`` is a ValueError.
+    walk in another order, or by a dominator of a constructive voter
+    instance (see the module docstring).  ``workers`` is accepted for
+    compatibility and has no effect: every solve runs in one thread.  A
+    negative ``budget`` is a ValueError.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
+    if instance.goal == CONSTRUCTIVE and instance.family in _VOTER_FAMILIES and _dominators(instance):
+        return _no_outcome(search_space(instance), budget)
     return _SOLVERS[instance.family](instance, budget=budget)
 
 
@@ -866,7 +918,7 @@ def _check_action(instance: ControlInstance, witness: tuple) -> None:
     a count in ``[0, cap]`` per voter group, or distinct candidates of its
     domain, adding up to at most the limit."""
     family = instance.family
-    if family in (ADD_VOTERS, DELETE_VOTERS, PARTITION_VOTERS):
+    if family in _VOTER_FAMILIES:
         caps = _voter_caps(instance)
         if len(witness) != len(caps) or not all(0 <= j <= cap for j, cap in zip(witness, caps)):
             raise InvalidInstance(f"a {family} action takes {len(caps)} counts, each in [0, cap]")

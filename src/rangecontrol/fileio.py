@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .control import (
     ADD_VOTERS,
@@ -50,7 +50,9 @@ from .control import (
     InvalidInstance,
 )
 from .elections import RV, SYSTEMS, BallotGroup, Election, InvalidElection
-from .gadgets import GadgetError, HittingSetInstance, X3CInstance
+
+if TYPE_CHECKING:
+    from .gadgets import HittingSetInstance, X3CInstance
 
 __all__ = [
     "ParseError",
@@ -355,6 +357,8 @@ def _problem(
     elements: list[str], sets: list[tuple[int, list[str]]], k: tuple[int, int] | None
 ) -> HittingSetInstance | X3CInstance:
     """A hitting-set instance when the file gave ``k``, else an exact-cover instance."""
+    from .gadgets import GadgetError, HittingSetInstance, X3CInstance  # not loaded by a cold `control`
+
     canon = []
     for lineno, members in sets:
         members_canon = _dedupe_set(lineno, members, elements)

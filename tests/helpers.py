@@ -9,6 +9,7 @@ behind itself.
 from __future__ import annotations
 
 import itertools
+from dataclasses import replace
 from fractions import Fraction
 
 from rangecontrol.control import (
@@ -23,7 +24,7 @@ from rangecontrol.control import (
     ControlInstance,
     _odometer,
 )
-from rangecontrol.elections import Election
+from rangecontrol.elections import BallotGroup, Election
 from rangecontrol.gadgets import HittingSetInstance
 from rangecontrol.harness import exhaustive_hs_instances, exhaustive_x3c_instances
 from rangecontrol.oracles import OracleResult
@@ -97,6 +98,22 @@ def _goal(instance: ControlInstance, winner: str | None) -> bool:
     if instance.goal == CONSTRUCTIVE:
         return winner == instance.distinguished
     return winner != instance.distinguished
+
+
+def plant_dominator(instance: ControlInstance, rival: str) -> ControlInstance:
+    """``instance`` with ``rival``'s score raised to the distinguished candidate's on
+    every base and pool ballot that scored it lower, so that ``rival`` weakly
+    dominates them on every ballot an action can count."""
+    base = instance.base
+    r, w = base.index(rival), base.index(instance.distinguished)
+
+    def raised(groups):
+        return tuple(BallotGroup(tuple(max(s, g.scores[w]) if c == r else s
+                                       for c, s in enumerate(g.scores)), g.multiplicity)
+                     for g in groups)
+
+    return replace(instance, base=Election(base.k, base.candidates, raised(base.ballots)),
+                   pool=raised(instance.pool))
 
 
 def brute_control(instance: ControlInstance) -> bool:

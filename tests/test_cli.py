@@ -562,11 +562,14 @@ class TestParse:
         assert (proc.returncode, proc.stdout) == (0, cli("control", destructive_add_path)[1])
         imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()}
         assert "rangecontrol.control" in imported
-        assert not imported & {"rangecontrol.harness", "rangecontrol.oracles"}
+        assert not imported & {"rangecontrol.harness", "rangecontrol.oracles", "rangecontrol.gadgets"}
         lazy = ("import sys, rangecontrol\n"
+                "assert 'rangecontrol.gadgets' not in sys.modules\n"
+                "from rangecontrol import X3CInstance\n"
                 "assert 'rangecontrol.harness' not in sys.modules\n"
                 "from rangecontrol import AuditSpec, solve_x3c\n"
-                "print(AuditSpec.__module__, solve_x3c.__module__)\n")
+                "print(X3CInstance.__module__, AuditSpec.__module__, solve_x3c.__module__)\n")
         proc = subprocess.run([sys.executable, "-c", lazy],
                               capture_output=True, text=True, env=env, timeout=60)
-        assert (proc.returncode, proc.stdout) == (0, "rangecontrol.harness rangecontrol.oracles\n")
+        assert (proc.returncode, proc.stdout) == (
+            0, "rangecontrol.gadgets rangecontrol.harness rangecontrol.oracles\n")

@@ -73,7 +73,10 @@ from rangecontrol.harness import (
 from helpers import (
     _capped_vectors,
     brute_control,
+    brute_tally,
+    brute_winners,
     never_dead,
+    plant_dominator,
     reference_lone_leader,
     reference_possible_lone_tops,
     reference_scan,
@@ -998,6 +1001,126 @@ class TestDecideFirst:
         proofs = record_proofs(monkeypatch)
         out = solve(replace(NO_COVER_PARTITION, tie_model=TIES_PROMOTE))
         assert (out.decision, out.explored, proofs) == (False, 107520, [])
+
+
+def count_kernel_calls(monkeypatch) -> list[int]:
+    """Make every later solve append, per subset-winners kernel call, how many actions
+    its scan had evaluated by then: the position of the action that made the call."""
+    evaluated = record_evaluations(monkeypatch)
+    calls = []
+    kernel = control._subset_winners
+
+    def counted_kernel(base, system):
+        winners = kernel(base, system)
+
+        def counted(mask):
+            calls.append(len(evaluated))
+            return winners(mask)
+        return counted
+
+    monkeypatch.setattr(control, "_subset_winners", counted_kernel)
+    return calls
+
+
+def dominated_election(n_weak: int, seed: int) -> Election:
+    """20 groups shaped like perfbench's control files: every ballot scores s1, s2
+    and s3 5, w in [1, 4] and each weak candidate c1.. below w, so each of s1..s3
+    dominates w, and w beats every weak candidate in any subelection."""
+    rng = random.Random(f"dominated:{seed}")
+    rows = []
+    for _ in range(20):
+        w = rng.randint(1, 4)
+        rows.append((rng.randint(1, 5), (*(rng.randint(0, w - 1) for _ in range(n_weak)), 5, 5, 5, w)))
+    return election(5, (*(f"c{i + 1}" for i in range(n_weak)), "s1", "s2", "s3", "w"), rows)
+
+
+class TestDominators:
+    @given(st.integers(1, 5), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_a_dominator_totals_at_least_the_dominated(self, k, data):
+        # the lemma on brute_tally's Fractions: when r scores at least w on every ballot,
+        # T_r >= T_w over every candidate subset holding both and every voter sub-multiset
+        n = data.draw(st.integers(2, 5))
+        r, w, *others = data.draw(st.permutations(range(n)))
+        ballots = []
+        for _ in range(data.draw(st.integers(0, 4))):
+            if data.draw(st.booleans()):
+                scores = [data.draw(st.integers(0, k))] * n  # a zero-span ballot
+            else:
+                scores = data.draw(st.lists(st.integers(0, k), min_size=n, max_size=n))
+                scores[r] = data.draw(st.integers(scores[w], k))
+            ballots.append((data.draw(st.integers(1, 3)), scores))
+        keep = sorted({r, w, *data.draw(st.sets(st.sampled_from(others)) if others else st.just(()))})
+        counts = [data.draw(st.integers(0, mult)) for mult, _ in ballots]
+        for kept in (counts, [0] * len(ballots)):  # a drawn sub-multiset, and the empty one
+            rows = [(c, tuple(scores[i] for i in keep)) for c, (_, scores) in zip(kept, ballots) if c]
+            sub = election(k, [f"c{i}" for i in keep], rows)
+            for system in (RV, NRV):
+                totals = brute_tally(sub, system)
+                assert totals[f"c{r}"] >= totals[f"c{w}"], (system, rows)
+                assert brute_winners(sub, system) != {f"c{w}"}
+
+    def test_the_shortcut_changes_no_outcome(self, monkeypatch):
+        # five seeded instances per family, each as drawn and with a planted dominator,
+        # under both goals, rv and nrv, and both tie models: the same decision, witness
+        # and explored count with dominators found and with none, at every budget
+        rng = random.Random("dominators")
+        by_family = {family: [] for family in control.FAMILIES}
+        for seed in itertools.count():
+            inst = gen_random_control_instance(seed)
+            if len(by_family[inst.family]) < 5:
+                by_family[inst.family].append(inst)
+            if all(len(found) == 5 for found in by_family.values()):
+                break
+        shortcuts = set()
+        for inst in itertools.chain(*by_family.values()):
+            rivals = [c for c in inst.base.candidates if c != inst.distinguished]
+            ties = (TIES_PROMOTE, TIES_ELIMINATE) if inst.tie_model else (None,)
+            planted = [plant_dominator(inst, rng.choice(rivals))] if rivals else []
+            for drawn in [inst, *planted]:
+                for goal, system, tie_model in itertools.product(
+                    (CONSTRUCTIVE, DESTRUCTIVE), (RV, NRV), ties
+                ):
+                    variant = replace(drawn, goal=goal, system=system, tie_model=tie_model)
+                    space = search_space(variant)
+                    for budget in (None, 0, 1, space // 2, space - 1, space):
+                        with monkeypatch.context() as m:
+                            m.setattr(control, "_dominators", lambda instance: 0)
+                            without = solve(variant, budget=budget)
+                        assert solve(variant, budget=budget) == without, (variant, budget)
+                    assert without.decision == brute_control(variant), variant
+                    if control._dominators(variant):
+                        shortcuts.add((variant.family, goal))
+        assert len(shortcuts) == 14
+
+    @pytest.mark.parametrize("system", (RV, NRV))
+    def test_a_late_deletion_tallies_once(self, monkeypatch, system):
+        # perfbench's delete-candidates file shape: only the last action, deleting
+        # s1..s3, keeps no dominator, so only it reaches the kernel
+        calls = count_kernel_calls(monkeypatch)
+        inst = ControlInstance(base=dominated_election(7, 0), family=DELETE_CANDIDATES,
+                               goal=CONSTRUCTIVE, system=system, distinguished="w", limit=3)
+        out = solve(inst)
+        assert (out.decision, out.witness, out.explored) == (True, ("s1", "s2", "s3"), 176)
+        assert out.explored == search_space(inst) and calls == [176]
+
+    @pytest.mark.parametrize("system", (RV, NRV))
+    @pytest.mark.parametrize("goal, witness, explored, tallies", [
+        # the first action whose w side holds no dominator: s1..s3 tie out of the
+        # first group, and w wins the second and the final, one tally each
+        (CONSTRUCTIVE, ("s1", "s2", "s3"), 0b0111000000 + 1, 3),
+        # the first action: w shares the second group with s1..s3
+        (DESTRUCTIVE, (), 1, 0),
+    ])
+    def test_a_dominated_runoff_partition_tallies_only_at_its_witness(
+        self, monkeypatch, system, goal, witness, explored, tallies
+    ):
+        calls = count_kernel_calls(monkeypatch)
+        inst = ControlInstance(base=dominated_election(6, 1), family=RUNOFF_PARTITION_CANDIDATES,
+                               goal=goal, system=system, distinguished="w", tie_model=TIES_ELIMINATE)
+        out = solve(inst)
+        assert (out.decision, out.witness, out.explored) == (True, witness, explored)
+        assert calls == [explored] * tallies
 
 
 class TestMarginLines:
