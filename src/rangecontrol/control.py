@@ -18,12 +18,15 @@ Enumeration canon (fixes witnesses and explored counts):
   per-group count tuples visited in lexicographic order with the first
   group most significant.
 
-The first success in this order is the canonical witness.  Solvers
-evaluate actions one at a time, in a single thread, in this order.  A
+The first success in this order is the canonical witness.  Each
+family's search hands :func:`solve` a walk in this order, an evaluator
+of one action and a witness decoder, and ``solve`` alone turns them into
+an outcome, evaluating actions one at a time in a single thread.  A
 "no" may be proven in another order first: its outcome depends on the
 number of actions and the budget alone, so any walk that covers every
 action without a success fixes it, and only a success needs the
-canonical walk (partition of voters under ties-eliminate does this).
+canonical walk (partition of voters under ties-eliminate has such a
+proof order).
 A rival that scores at least the distinguished candidate's score on
 every ballot an action can count dominates them (:func:`_dominators`):
 in any election that holds both, over any of those ballots, the rival's
@@ -31,8 +34,11 @@ total is at least theirs, under ``rv`` and under ``nrv`` alike, since
 ``nrv`` maps each ballot's scores by one nondecreasing affine map and a
 zero-span ballot counts 0 for everyone.  So the distinguished candidate
 is never the lone winner of an election that holds a dominator.  The
-solvers decide such an election without tallying it, and a constructive
-voter instance with a dominator is a "no" without a walk.
+searches decide such an election without tallying it, and ``solve``
+answers a constructive instance "no" without a walk when every action
+leaves a dominator standing: under a voter action whenever one exists,
+when adding candidates if one is registered, and when deleting if they
+outnumber the limit.
 Candidate-set subelections are decided from the base ballots' columns,
 never by projecting ballots.  Under ``nrv`` their totals drop the factor
 ``k`` and each ballot's offset ``-lo`` from the :func:`integer_rows`
@@ -448,19 +454,13 @@ def _odometer(
         free = i + 1
 
 
-def _suffix_falls(
-    caps: Sequence[int], deltas: Sequence[Sequence[int]], width: int
-) -> tuple[list[list[int]], list[list[int]]]:
-    """How far ``sum(v_l * deltas[l][j] for l >= d)`` can fall below 0, per level ``d``.
-
-    The first table bounds it with each ``v_l`` in ``[0, caps[l]]``, the
-    second per unit of ``sum(v_l)``: its most negative entry at or after ``d``.
-    """
-    by_caps, per_unit = [[0] * width], [[0] * width]
+def _suffix_falls(caps: Sequence[int], deltas: Sequence[Sequence[int]], width: int) -> list[list[int]]:
+    """How far ``sum(v_l * deltas[l][j] for l >= d)`` can fall below 0, per level ``d``,
+    with each ``v_l`` in ``[0, caps[l]]``."""
+    falls = [[0] * width]
     for cap, row in zip(reversed(caps), reversed(deltas)):
-        by_caps.append([f + cap * min(0, x) for f, x in zip(by_caps[-1], row)])
-        per_unit.append([min(u, x) for u, x in zip(per_unit[-1], row)] if cap else per_unit[-1])
-    return by_caps[::-1], per_unit[::-1]
+        falls.append([f + cap * min(0, x) for f, x in zip(falls[-1], row)])
+    return falls[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -489,12 +489,6 @@ def _each(actions: Iterable) -> Iterator[tuple[int, object]]:
     return zip(itertools.repeat(1), actions)
 
 
-def _scan_counts(walk: Iterable[tuple], evaluate: Callable, budget: int | None) -> ControlOutcome:
-    """``_scan`` over an odometer walk; the witness is the count tuple."""
-    out = _scan(walk, evaluate, budget)
-    return ControlOutcome(out.decision, out.witness[0] if out.decision else None, out.explored)
-
-
 def _no_outcome(size: int, budget: int | None) -> ControlOutcome:
     """The outcome of a "no" over ``size`` actions: the canonical scan covers
     them all, unless ``budget`` ends it first."""
@@ -517,31 +511,14 @@ def _prove_no(steps: Iterable[tuple[int, object]], evaluate: Callable, cap: int 
     return covered
 
 
-def _decide_first(
-    walk: Callable[[Sequence[int]], Iterable[tuple]],
-    order: Sequence[int],
-    evaluate: Callable,
-    budget: int | None,
-) -> ControlOutcome:
-    """``_scan_counts`` of the canonical odometer walk, a "no" proven first in ``order``.
-
-    ``walk(order)`` is the odometer over the groups in ``order``.  A "no"
-    outcome depends on the box size ``N`` and the budget alone, ``(False,
-    None, N)`` or, when ``budget < N``, ``(None, None, budget)``, so a walk
-    in any order that covers the box without a success proves it.  Only
-    a success, or a proof past ``budget`` steps, leaves the answer to the
-    canonical walk, under the same budget.
-    """
-    canonical = range(len(order))
-    if list(order) != list(canonical):
-        covered = _prove_no(walk(order), evaluate, budget)
-        if covered is not None:
-            return _no_outcome(covered, budget)
-    return _scan_counts(walk(canonical), evaluate, budget)
-
-
 # ---------------------------------------------------------------------------
-# per-family solvers
+# per-family searches, which solve drives
+
+# (walk, evaluate, witness, proof order), as :func:`solve` reads them
+_Search = tuple[Callable[..., Iterable[tuple[int, object]]], Callable[[object], bool],
+                Callable[[object], tuple], list[int] | None]
+_vector = operator.itemgetter(0)  # the count tuple of an odometer step
+
 
 def _candidate_domain(instance: ControlInstance) -> tuple[str, ...]:
     """The candidates an add/delete-candidates action may choose from.
@@ -563,10 +540,8 @@ def _voter_caps(instance: ControlInstance) -> list[int]:
     return [g.multiplicity for g in groups]
 
 
-def _solve_candidate_subset(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by adding spoilers or deleting candidates, at most ``limit`` of them.
+def _search_candidate_subsets(instance: ControlInstance, dominators: int) -> _Search:
+    """Control by adding spoilers or deleting candidates, at most ``limit`` of them.
 
     Spoilers start unregistered and every deletable candidate starts
     registered, so toggling the chosen candidates covers both actions.
@@ -576,8 +551,8 @@ def _solve_candidate_subset(
     registered = _mask_of(base.candidates, instance.registered)
     wanted = 1 << base.index(instance.distinguished)
     winners = _subset_winners(base, instance.system)
-    dominators = _dominators(instance)
     beaten = instance.goal == DESTRUCTIVE  # the verdict when a dominator stands
+    domain = _candidate_domain(instance)
 
     def evaluate(chosen: tuple[str, ...]) -> bool:
         kept = registered ^ _mask_of(base.candidates, chosen)
@@ -585,8 +560,7 @@ def _solve_candidate_subset(
             return beaten
         return _goal_met(instance.goal, wanted, winners(kept))
 
-    actions = _subsets_by_size(_candidate_domain(instance), instance.limit)
-    return _scan(_each(actions), evaluate, budget)
+    return lambda: _each(_subsets_by_size(domain, instance.limit)), evaluate, tuple, None
 
 
 def _voter_rows(
@@ -597,16 +571,13 @@ def _voter_rows(
     return rows, [g.multiplicity for g in groups]
 
 
-def _solve_voter_count(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by registering pool voters or removing voters, at most ``limit`` in all.
+def _search_voter_counts(instance: ControlInstance, dominators: int) -> _Search:
+    """Control by registering pool voters or removing voters, at most ``limit`` in all.
 
     Partial multiplicities are allowed: an action takes or removes
     ``j_i`` voters of group ``i``.  Each move adds a pool row to the
     base totals, or subtracts a base row from them.  A subtree of the
     scan is skipped once the moves left to it cannot change the verdict.
-    :func:`solve` answers a constructive instance with a dominator itself.
     """
     base = instance.base
     rows, mults = _voter_rows(instance, base.ballots + instance.pool)
@@ -624,7 +595,12 @@ def _solve_voter_count(
     # (constructive) or w's lead over every rival never falls to 0 (destructive)
     sign = 1 if instance.goal == DESTRUCTIVE else -1
     lead_moves = [[sign * (move[w] - move[c]) for c in rivals] for move in moves]
-    falls, unit_falls = _suffix_falls(caps, lead_moves, len(rivals))
+    falls = _suffix_falls(caps, lead_moves, len(rivals))
+    # the falls per unit of room: each level's most negative lead move at or after it
+    unit_falls = [[0] * len(rivals)]
+    for cap, row in zip(reversed(caps), reversed(lead_moves)):
+        unit_falls.append(list(map(min, unit_falls[-1], row)) if cap else unit_falls[-1])
+    unit_falls.reverse()
 
     def dead(level: int, vec: list[int], totals: list[int], room: int) -> bool:
         lows = (
@@ -638,14 +614,11 @@ def _solve_voter_count(
     def evaluate(action: tuple) -> bool:
         return _goal_met(instance.goal, wanted, _top(action[1]))
 
-    actions = _odometer(caps, instance.limit, moves, totals, dead)
-    return _scan_counts(actions, evaluate, budget)
+    return lambda: _odometer(caps, instance.limit, moves, totals, dead), evaluate, _vector, None
 
 
-def _solve_candidate_partition(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by partition or runoff partition of candidates.
+def _search_candidate_partitions(instance: ControlInstance, dominators: int) -> _Search:
+    """Control by partition or runoff partition of candidates.
 
     The first group runs a subelection.  Its survivors face the second
     group in the final election over the full voter set; with a runoff,
@@ -654,64 +627,57 @@ def _solve_candidate_partition(
     A dominator on the distinguished candidate's own side decides the
     action untallied: it either knocks them out there or, tied with them,
     goes on with them (as every member of a group without a runoff does).
-    So does a final round that lacks them or holds a dominator.
+    So does their own side's subelection when they do not survive it,
+    before the other side is tallied, and a final round that holds a
+    dominator.
     """
     base = instance.base
     everyone = (1 << len(base.candidates)) - 1
     wanted = 1 << base.index(instance.distinguished)
     winners = functools.cache(_subset_winners(base, instance.system))
     runoff = instance.family == RUNOFF_PARTITION_CANDIDATES
-    dominators = _dominators(instance)
     beaten = instance.goal == DESTRUCTIVE  # the verdict when a dominator stands
 
     def evaluate(mask: int) -> bool:
-        second = everyone ^ mask
-        if (mask if mask & wanted else second) & dominators:
+        in_first = mask & wanted
+        own, other = (mask, everyone ^ mask) if in_first else (everyone ^ mask, mask)
+        if own & dominators:
             return beaten
-        first = _survivors(winners(mask), instance.tie_model)
-        if runoff:
-            second = _survivors(winners(second), instance.tie_model)
-        finalists = first | second
-        if not finalists & wanted or finalists & dominators:
+        if in_first or runoff:  # w's side runs a subelection
+            own = _survivors(winners(own), instance.tie_model)
+            if not own & wanted:
+                return beaten
+        if runoff or not in_first:  # the other side runs one
+            other = _survivors(winners(other), instance.tie_model)
+        finalists = own | other
+        if finalists & dominators:
             return beaten
         return _goal_met(instance.goal, wanted, winners(finalists))
 
-    outcome = _scan(_each(range(everyone + 1)), evaluate, budget)
-    if not outcome.decision:
-        return outcome
-    first = tuple(c for i, c in enumerate(base.candidates) if outcome.witness >> i & 1)
-    return ControlOutcome(True, first, outcome.explored)
+    def first_group(mask: int) -> tuple[str, ...]:
+        return tuple(c for i, c in enumerate(base.candidates) if mask >> i & 1)
+
+    return lambda: _each(range(everyone + 1)), evaluate, first_group, None
 
 
-def _solve_voter_partition(
-    instance: ControlInstance, *, budget: int | None = None
-) -> ControlOutcome:
-    """Decide control by partition of voters.
+def _search_voter_partitions(instance: ControlInstance, dominators: int) -> _Search:
+    """Control by partition of voters.
 
     Actions are split vectors: entry ``j_i`` sends that many voters of
     group ``i`` into the first subelection, the rest into the second.
     By multiplicity linearity this covers every voter partition.  Both
     subelections use the full candidate set; the survivors' union faces
-    the full voter set in the final round.  Under ties-eliminate a "no"
-    is first sought in :func:`_partition_walk`'s proof order.
-    :func:`solve` answers a constructive instance with a dominator itself.
-    """
-    walk, evaluate, order = _partition_walk(instance)
-    if instance.tie_model == TIES_PROMOTE:
-        order.sort()  # promote's "no" proofs measured slower in the proof order
-    return _decide_first(walk, order, evaluate, budget)
-
-
-def _partition_walk(instance: ControlInstance) -> tuple[Callable, Callable, list[int]]:
-    """The partition-voters odometer over any group order, its evaluator, and its proof order.
+    the full voter set in the final round.
 
     ``walk(order)`` scans the full box of split vectors with the groups in
-    ``order``, the first most significant; ``range(groups)`` is the
-    canonical walk.  Its steps carry the split vector in that order and
-    the first side's totals, which are all ``evaluate`` reads.  The proof
-    order puts the groups by ``mult * (max(row) - min(row))``, largest
-    first: the groups that move the margins most are fixed first, so the
-    bounds close whole subtrees early.
+    ``order``, the first most significant; ``walk()`` is the canonical
+    walk.  Its steps carry the split vector in that order and the first
+    side's totals, which are all ``evaluate`` reads.  Under ties-eliminate
+    the proof order puts the groups by ``mult * (max(row) - min(row))``,
+    largest first: the groups that move the margins most are fixed first,
+    so the bounds close whole subtrees early.  Under ties-promote those
+    proofs measured slower than the canonical walk, so it has no proof
+    order.
 
     Swapping the sides leaves the finalists alone, so a split vector and
     its complement ``mults - vec`` decide alike, and whichever of the two
@@ -734,7 +700,7 @@ def _partition_walk(instance: ControlInstance) -> tuple[Callable, Callable, list
         second = list(map(operator.sub, full, first))
         return _goal_met(goal, wanted, winners(survivors(first) | survivors(second)))
 
-    def walk(order: Sequence[int]) -> Iterator[tuple[int, tuple | None]]:
+    def walk(order: Sequence[int] = range(len(rows))) -> Iterator[tuple[int, tuple | None]]:
         caps = [mults[i] for i in order]
         moves = [rows[i] for i in order]
         lines = _margin_lines(moves, caps, len(full))
@@ -768,7 +734,9 @@ def _partition_walk(instance: ControlInstance) -> tuple[Callable, Callable, list
         return _odometer(caps, sum(mults), moves, [0] * len(full), dead)
 
     spread = [m * (max(row) - min(row)) for m, row in zip(mults, rows)]
-    return walk, evaluate, sorted(range(len(rows)), key=spread.__getitem__, reverse=True)
+    order = sorted(range(len(rows)), key=spread.__getitem__, reverse=True)
+    proof = None if promote or order == sorted(order) else order
+    return walk, evaluate, _vector, proof
 
 
 def _margin_lines(rows: Sequence[Sequence[int]], mults: Sequence[int], n: int) -> list[tuple]:
@@ -782,7 +750,7 @@ def _margin_lines(rows: Sequence[Sequence[int]], mults: Sequence[int], n: int) -
     (for :func:`_lone_leader`) and ``-big`` (for :func:`_possible_lone_tops`).
     """
     pairs = [(a, c) for a in range(n) for c in range(n)]
-    falls, _ = _suffix_falls(mults, [[row[a] - row[c] for a, c in pairs] for row in rows], n * n)
+    falls = _suffix_falls(mults, [[row[a] - row[c] for a, c in pairs] for row in rows], n * n)
     # Rows are nonnegative, so every total lies in [0, S] and every fall in [-S, 0],
     # S = sum(mult * max(row)).  With big > 2S a diagonal term is never the min of a
     # leader test nor the max of a top test, and alone (n = 1) it passes both, as an
@@ -811,34 +779,58 @@ def _possible_lone_tops(totals: list[int], lines: list[list[int]]) -> list[int]:
             if t > max(map(operator.add, totals, line))]
 
 
-# one solver per action shape; each reads its family from the instance
-_SOLVERS = {
-    ADD_CANDIDATES: _solve_candidate_subset,
-    DELETE_CANDIDATES: _solve_candidate_subset,
-    ADD_VOTERS: _solve_voter_count,
-    DELETE_VOTERS: _solve_voter_count,
-    PARTITION_CANDIDATES: _solve_candidate_partition,
-    RUNOFF_PARTITION_CANDIDATES: _solve_candidate_partition,
-    PARTITION_VOTERS: _solve_voter_partition,
+# one search per action shape; each reads its family from the instance
+_SEARCHES = {
+    ADD_CANDIDATES: _search_candidate_subsets,
+    DELETE_CANDIDATES: _search_candidate_subsets,
+    ADD_VOTERS: _search_voter_counts,
+    DELETE_VOTERS: _search_voter_counts,
+    PARTITION_CANDIDATES: _search_candidate_partitions,
+    RUNOFF_PARTITION_CANDIDATES: _search_candidate_partitions,
+    PARTITION_VOTERS: _search_voter_partitions,
 }
+
+
+def _dominator_always_stands(instance: ControlInstance, dominators: int) -> bool:
+    """Whether every action leaves a dominator in the terminal election: under a
+    voter action whenever one exists, when adding candidates if one is
+    registered, and when deleting if they outnumber the limit."""
+    if instance.family == ADD_CANDIDATES:
+        return bool(dominators & _mask_of(instance.base.candidates, instance.registered))
+    if instance.family == DELETE_CANDIDATES:
+        return dominators.bit_count() > instance.limit
+    return instance.family in _VOTER_FAMILIES and dominators != 0
 
 
 def solve(
     instance: ControlInstance, *, budget: int | None = None, workers: int = 1
 ) -> ControlOutcome:
-    """Dispatch to the family-specific exhaustive solver.
+    """Decide ``instance`` by the exhaustive search of its family.
 
-    The outcome is the canonical scan's, though a "no" may be proven by a
-    walk in another order, or by a dominator of a constructive voter
-    instance (see the module docstring).  ``workers`` is accepted for
-    compatibility and has no effect: every solve runs in one thread.  A
-    negative ``budget`` is a ValueError.
+    Each family gives a canonical walk, an evaluator, a witness decoder
+    and, for partition of voters under ties-eliminate, a proof order.
+    ``solve`` alone turns them into the outcome, in this order: it checks
+    the budget (a negative one is a ValueError); it answers a constructive
+    instance "no" without a walk when every action leaves a dominator
+    standing; it seeks a "no" in the proof order; it scans in canonical
+    order; and it decodes the first success.  The outcome is the canonical
+    scan's either way (see the module docstring).  ``workers`` is accepted
+    for compatibility and has no effect: every solve runs in one thread.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be non-negative, got {budget}")
-    if instance.goal == CONSTRUCTIVE and instance.family in _VOTER_FAMILIES and _dominators(instance):
+    dominators = _dominators(instance)
+    if instance.goal == CONSTRUCTIVE and _dominator_always_stands(instance, dominators):
         return _no_outcome(search_space(instance), budget)
-    return _SOLVERS[instance.family](instance, budget=budget)
+    walk, evaluate, witness, order = _SEARCHES[instance.family](instance, dominators)
+    if order is not None:
+        covered = _prove_no(walk(order), evaluate, budget)
+        if covered is not None:
+            return _no_outcome(covered, budget)
+    outcome = _scan(walk(), evaluate, budget)
+    if not outcome.decision:
+        return outcome
+    return ControlOutcome(True, witness(outcome.witness), outcome.explored)
 
 
 def search_space(instance: ControlInstance) -> int:

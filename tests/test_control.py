@@ -1,5 +1,6 @@
 """Control solvers: examples, enumeration canon, determinism, budgets."""
 
+import ast
 import gc
 import hashlib
 import itertools
@@ -9,6 +10,7 @@ import time
 import tracemalloc
 import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -930,8 +932,8 @@ class TestMirrorSkip:
     def test_the_x3c_no_scan_skips_the_mirror_half(self, monkeypatch):
         evaluated = record_evaluations(monkeypatch)
         partition = NO_COVER_PARTITION
-        walk, evaluate, order = control._partition_walk(partition)
-        out = control._scan_counts(walk(range(len(order))), evaluate, None)  # the canonical walk
+        walk, evaluate, _, _ = control._search_voter_partitions(partition, 0)
+        out = control._scan(walk(), evaluate, None)  # the canonical walk
         assert out.decision is False
         assert out.explored == search_space(partition)
         assert_no_mirror_evaluated(evaluated, [g.multiplicity for g in partition.base.ballots])
@@ -957,8 +959,10 @@ class TestDecideFirst:
                 variant = replace(inst, goal=goal, system=system, tie_model=tie_model)
                 space = search_space(variant)
                 decision = reference_scan(variant)[0]
-                walk, evaluate, order = control._partition_walk(variant)
-                for shuffled in [order] + [rng.sample(order, len(order)) for _ in range(2)]:
+                walk, evaluate, _, order = control._search_voter_partitions(variant, 0)
+                groups = range(len(variant.base.ballots))
+                shuffles = [rng.sample(groups, len(groups)) for _ in range(2)]
+                for shuffled in ([order] if order else []) + shuffles:
                     covered = control._prove_no(walk(shuffled), evaluate, None)
                     assert covered == (None if decision else space), (variant, shuffled)
                 for budget in (None, 0, 1, space // 2, space - 1, space):
@@ -1094,6 +1098,24 @@ class TestDominators:
         assert len(shortcuts) == 14
 
     @pytest.mark.parametrize("system", (RV, NRV))
+    @pytest.mark.parametrize("family, limit, spoilers, space", [
+        # perfbench's add-candidates file shape: s1..s3 are registered, so no
+        # addition of weak candidates removes them
+        (ADD_CANDIDATES, 7, tuple(f"c{i + 1}" for i in range(7)), 128),
+        # three dominators and room to delete only two of them
+        (DELETE_CANDIDATES, 2, (), 56),
+    ])
+    def test_a_dominator_that_always_stands_answers_unwalked(
+        self, monkeypatch, system, family, limit, spoilers, space
+    ):
+        evaluated = record_evaluations(monkeypatch)
+        inst = ControlInstance(base=dominated_election(7, 0), family=family, goal=CONSTRUCTIVE,
+                               system=system, distinguished="w", limit=limit, spoilers=spoilers)
+        out = solve(inst)
+        assert (out.decision, out.witness, out.explored) == (False, None, space)
+        assert space == search_space(inst) and evaluated == []
+
+    @pytest.mark.parametrize("system", (RV, NRV))
     def test_a_late_deletion_tallies_once(self, monkeypatch, system):
         # perfbench's delete-candidates file shape: only the last action, deleting
         # s1..s3, keeps no dominator, so only it reaches the kernel
@@ -1122,6 +1144,42 @@ class TestDominators:
         assert (out.decision, out.witness, out.explored) == (True, witness, explored)
         assert calls == [explored] * tallies
 
+    @pytest.mark.parametrize("system", (RV, NRV))
+    def test_a_runoff_side_that_drops_w_leaves_the_other_untallied(self, monkeypatch, system):
+        # no rival dominates w, but a beats w on their side {a, w}: that one tally
+        # decides the mask, and the other side {b} is never tallied
+        calls = count_kernel_calls(monkeypatch)
+        inst = ControlInstance(base=election(2, ("a", "w", "b"), [(3, (2, 1, 0)), (1, (0, 2, 2))]),
+                               family=RUNOFF_PARTITION_CANDIDATES, goal=CONSTRUCTIVE, system=system,
+                               distinguished="w", tie_model=TIES_ELIMINATE)
+        assert control._dominators(inst) == 0
+        _, evaluate, _, _ = control._search_candidate_partitions(inst, 0)
+        assert evaluate(0b011) is False
+        assert len(calls) == 1
+
+
+def test_only_solve_drives_the_scan_and_the_proof():
+    # each family hands solve its walk, evaluator and witness decoder; a second
+    # caller of either driver would be a second place to wire the budget, the
+    # dominance short-cuts, the proof walk and the witness
+    drivers = {"_scan", "_prove_no"}
+
+    def uses(tree):
+        return [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and node.id in drivers
+                or isinstance(node, ast.Attribute) and node.attr in drivers]
+
+    users = {}
+    for path in Path(control.__file__).parent.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        users[path.name] = uses(tree)
+        if path.name == "control.py":
+            (solve_def,) = [node for node in tree.body
+                            if isinstance(node, ast.FunctionDef) and node.name == "solve"]
+            in_solve = uses(solve_def)
+    assert len(in_solve) == 2
+    assert {name: lines for name, lines in users.items() if lines} == {"control.py": in_solve}
+
 
 class TestMarginLines:
     @pytest.mark.parametrize("n", range(1, 7))
@@ -1136,7 +1194,7 @@ class TestMarginLines:
             mults = [rng.choice((0, 1, 2, 5, 10**6, 10**12)) for _ in rows]
             ceiling = sum(m * max(row) for m, row in zip(mults, rows))
             deltas = [[row[a] - row[c] for a in range(n) for c in range(n)] for row in rows]
-            falls, _ = _suffix_falls(mults, deltas, n * n)
+            falls = _suffix_falls(mults, deltas, n * n)
             for table, (lead_rows, lead_columns, top_rows, top_columns) in zip(
                 falls, _margin_lines(rows, mults, n)
             ):
