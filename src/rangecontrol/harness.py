@@ -21,6 +21,7 @@ rendering, so identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import array
+import functools
 import itertools
 import json
 import operator
@@ -311,11 +312,16 @@ def _least_of_orbit(n: int) -> Callable[[tuple[int, ...]], bool]:
 
     ``bit_images[i]`` lists ``1 << perm[i]`` over the permutations in
     ``itertools.permutations`` order, in 2-byte entries (n <= 16): O(n * n!)
-    per pass, and no per-mask cache. A mask's images are the element-wise OR
+    per table, and no per-mask cache. A mask's images are the element-wise OR
     of its bits' lists, so the orbit comes from C-level ``map``/``zip`` passes.
     The first member met walks the orbit and maps the rest to its least member;
     each is answered later by one ``dict.pop``, so the memo holds only
-    unvisited ones.
+    unvisited ones and empties once a pass has met every member.
+
+    Only the exact-cover sweep filters with this.  Hitting-set families have
+    few sets, so ``_least_hs_families`` works from set orders instead; at
+    k=2 with 5 sets that would walk C(37, 6) = 2,324,784 column multisets
+    and 5! set orders, against this table's 6! element orders.
     """
     bit_images = [
         array.array("H", map((1).__lshift__,
@@ -343,6 +349,50 @@ def _least_of_orbit(n: int) -> Callable[[tuple[int, ...]], bool]:
     return is_least
 
 
+def _least_hs_families(n: int, m: int) -> list[tuple[int, ...]]:
+    """The least sorted family of each orbit of m nonempty masks over n
+    elements under element permutations, ascending.
+
+    An element's column holds its m membership bits.  A class is a multiset
+    of n columns up to relabelling the sets, met here only at its least
+    column multiset under the m! relabellings.  For one set order, placing
+    the elements at bits 0, 1, ... in descending column order (the first set
+    on the top bit) gives the least (mask(S_1), ..., mask(S_m)): the first
+    set takes the lowest bits, the next the lowest within each block, and so
+    on.  Sorting a tuple never makes it larger, so the least sorted family is
+    the minimum over the set orders of the sorted placed masks.
+    """
+    full = (1 << m) - 1
+    relabellings = [
+        [sum(1 << perm[b] for b in range(m) if column >> b & 1) for column in range(1 << m)]
+        for perm in itertools.permutations(range(m))
+    ][1:]
+    # a column's bits one n-bit field apart: summing the placed columns
+    # shifted by their positions packs all m masks into one int
+    spread = [sum(1 << b * n for b in range(m) if column >> b & 1) for column in range(1 << m)]
+    fields = range(0, m * n, n)
+    low = (1 << n) - 1
+    descending = range(n - 1, -1, -1)
+    least = []
+    for columns in itertools.combinations_with_replacement(range(1 << m), n):
+        if functools.reduce(operator.or_, columns) != full:
+            continue  # a set is empty
+        own = list(columns)
+        orders = [own]
+        for relabel in relabellings:
+            image = sorted(map(relabel.__getitem__, columns))
+            if image < own:
+                break
+            orders.append(image)
+        else:
+            # each order's columns ascending, placed from the top bit down
+            packed = (sum(map(operator.lshift, map(spread.__getitem__, order), descending))
+                      for order in orders)
+            least.append(tuple(min(sorted([p >> f & low for f in fields]) for p in packed)))
+    least.sort()
+    return least
+
+
 def exhaustive_hs_instances(
     n_range: tuple[int, int],
     m_range: tuple[int, int],
@@ -352,16 +402,17 @@ def exhaustive_hs_instances(
     """All hitting-set instances within bounds, ascending by (n, m, k, family).
 
     ``isomorphism_free`` yields the least member of each orbit under element
-    permutations, in ascending order, at one orbit walk per class through a
-    per-(n, m) table of the n! permutations' bit images (``_least_of_orbit``)."""
+    permutations, in ascending order, generated per (n, m) from the m! set
+    orders of each class (``_least_hs_families``)."""
     for n in range(max(1, n_range[0]), n_range[1] + 1):
         universe = tuple(f"b{i + 1}" for i in range(n))
         nonempty = range(1, 1 << n)
         for m in range(max(1, m_range[0]), m_range[1] + 1):
-            is_least = _least_of_orbit(n) if isomorphism_free else None
-            for family in itertools.combinations_with_replacement(nonempty, m):
-                if is_least is not None and not is_least(family):
-                    continue
+            if isomorphism_free:
+                families = _least_hs_families(n, m)
+            else:
+                families = itertools.combinations_with_replacement(nonempty, m)
+            for family in families:
                 sets = tuple(
                     tuple(universe[i] for i in range(n) if mask >> i & 1) for mask in family
                 )
@@ -378,14 +429,23 @@ def exhaustive_x3c_instances(
 
     ``isomorphism_free`` yields the least member (by sorted masks) of each orbit
     under element permutations, in ascending order, at one orbit walk per class
-    through a per-(k, |S|) table of the (3k)! permutations' bit images."""
+    through one table per k of the (3k)! permutations' bit images.  That
+    table is 3k columns of (3k)! 2-byte entries, 6.5 MB at k=3 and 11.5 GB
+    at k=4, so a larger k raises ValueError before any table is built."""
+    if isomorphism_free and k_range[1] > 3:
+        raise ValueError(
+            f"isomorph-free exact-cover sweeps take k <= 3, got k <= {k_range[1]}: "
+            "the (3k)! orbit table would not fit in memory"
+        )
     for k in range(max(1, k_range[0]), k_range[1] + 1):
         elements = tuple(f"b{i + 1}" for i in range(3 * k))
         triples = list(itertools.combinations(range(3 * k), 3))
         masks = {t: (1 << t[0]) | (1 << t[1]) | (1 << t[2]) for t in triples}
         full = (1 << (3 * k)) - 1
+        # each set count's pass meets every member of each orbit it starts,
+        # so the memo empties between passes
+        is_least = _least_of_orbit(3 * k) if isomorphism_free else None
         for count in range(max(k, set_range[0]), set_range[1] + 1):
-            is_least = _least_of_orbit(3 * k) if isomorphism_free else None
             for family in itertools.combinations_with_replacement(triples, count):
                 union = 0
                 for t in family:

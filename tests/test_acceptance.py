@@ -11,6 +11,8 @@ import io
 import time
 from fractions import Fraction
 
+import pytest
+
 from rangecontrol.cli import run_cli
 from rangecontrol.control import solve, scale_instance
 from rangecontrol.elections import (
@@ -133,6 +135,18 @@ def test_c05_candidate_control_gadget_equivalence():
     assert elapsed < 600
     report(5, f"{len(sweep.records)} exhaustive + 200 random instances all agree, "
               f"{elapsed:.1f}s")
+
+
+@pytest.mark.slow
+def test_hs_candidates_exhaustive_at_n7():
+    # README finding 1's largest sweep: 1,452 records
+    sweep = audit_gadget(
+        AuditSpec(gadget="hs-candidates", mode="exhaustive", n=(7, 7), m=(2, 3), k=(1, 2))
+    )
+    assert len(sweep.records) == 1452
+    assert sweep.agreement is True
+    assert not sweep.identity_failures
+    assert not sweep.budget_exceeded
 
 
 def test_c06_destructive_partition_gadget_equivalence():

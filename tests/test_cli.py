@@ -449,6 +449,22 @@ class TestVerify:
                            "--exhaustive", "k=1,s<=2", "--budget", "0")
         assert code == 0 and "budget-exceeded: 0 1" in out
 
+    def test_an_x3c_sweep_beyond_the_orbit_table_is_refused(self, monkeypatch):
+        # k=4 needs a 12! orbit table of about 11.5 GB: refuse before building any
+        from rangecontrol import harness
+
+        least_of_orbit = harness._least_of_orbit
+
+        def bounded(n):
+            assert n <= 9, f"built a {n}! orbit table"
+            return least_of_orbit(n)
+
+        monkeypatch.setattr(harness, "_least_of_orbit", bounded)
+        code, out, err = cli("verify", "--gadget", "x3c-voter-partition-te",
+                             "--exhaustive", "k=4,s=4")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: isomorph-free exact-cover sweeps take k <= 3")
+
     def test_random_samples_within_bounds(self):
         # the restricted hitting sets of this gadget need n >= 6, above the default n<=3
         code, out, err = cli("verify", "--gadget", "rhs-voter-partition-tp", "--random", "2",

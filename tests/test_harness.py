@@ -138,6 +138,51 @@ class TestExhaustiveEnumeration:
             tracemalloc.stop()
         assert peak < 10 * 2**20
 
+    @staticmethod
+    def two_set_classes(n):
+        """Classes of two nonempty sets A, B over n elements, by Burnside: the
+        compositions (in A only, in B only, in both, in neither) of n with A
+        and B nonempty, plus those that swapping A and B fixes, halved."""
+        count = fixed = 0
+        for a_only, b_only, both in itertools.product(range(n + 1), repeat=3):
+            if a_only + b_only + both <= n and a_only + both and b_only + both:
+                count += 1
+                fixed += a_only == b_only
+        return (count + fixed) // 2
+
+    def test_two_set_class_counts_match_the_closed_form(self):
+        counts = [self.two_set_classes(n) for n in range(1, 10)]
+        assert counts == [1, 4, 9, 17, 28, 43, 62, 86, 115]
+        assert counts == [
+            len(list(exhaustive_hs_instances((n, n), (2, 2), (1, 1)))) for n in range(1, 10)
+        ]
+
+    @pytest.mark.parametrize("n, m", [(6, 3), (7, 2), (7, 3)])
+    def test_generated_classes_match_the_orbit_filter(self, n, m):
+        is_least = harness._least_of_orbit(n)
+        kept = [family for family in itertools.combinations_with_replacement(range(1, 1 << n), m)
+                if is_least(family)]
+        assert harness._least_hs_families(n, m) == kept
+
+    def test_hs_sweep_memory_is_bounded_at_n8(self):
+        # the n=8 orbit table alone is 0.65 MB, and its memo held tens of MB
+        tracemalloc.start()
+        try:
+            count = sum(1 for _ in exhaustive_hs_instances((8, 8), (3, 3), (1, 1)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 1229
+        assert peak < 2**20
+
+    def test_x3c_builds_one_orbit_table_per_k(self, monkeypatch):
+        built = []
+        least_of_orbit = harness._least_of_orbit
+        monkeypatch.setattr(harness, "_least_of_orbit",
+                            lambda n: built.append(n) or least_of_orbit(n))
+        assert len(list(exhaustive_x3c_instances((1, 2), (1, 5)))) == 120
+        assert built == [3, 6]
+
     def test_x3c_k1_families(self):
         insts = list(exhaustive_x3c_instances((1, 1), (1, 2)))
         assert [len(i.sets) for i in insts] == [1, 2]
