@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import math
 import sys
 import warnings
 from dataclasses import replace
+from fractions import Fraction
 from typing import Sequence, TextIO
 
 from . import control as ctl
@@ -155,11 +157,24 @@ def _read(path: str) -> str:
         return handle.read()
 
 
+def _total_text(cand: str, total: Fraction) -> str:
+    """``str(total)``, or a ValueError naming ``cand`` if a part is over ``str``'s digit limit."""
+    try:
+        return str(total)
+    except ValueError:
+        part = max(abs(total.numerator), total.denominator)
+        digits = math.floor((part.bit_length() - 1) * math.log10(2)) + 1  # those of 2^(bits - 1)
+        digits += part >= 10**digits
+        raise ValueError(f"the exact total of candidate {cand} has a {digits}-digit "
+                         f"{'numerator' if part == abs(total.numerator) else 'denominator'}, over "
+                         f"the {sys.get_int_max_str_digits()}-digit limit of integer string "
+                         "conversion; PYTHONINTMAXSTRDIGITS=0 lifts it") from None
+
+
 def _cmd_tally(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     parsed = fileio.parse_election(_read(args.file))
     result = tally(parsed.election, args.system)
-    for cand in parsed.election.candidates:
-        print(f"{cand}: {result.totals[cand]}", file=out)
+    out.write("".join(f"{c}: {_total_text(c, result.totals[c])}\n" for c in parsed.election.candidates))
     if result.unique_winner is not None:
         print(f"winner: {result.unique_winner}", file=out)
     else:

@@ -879,11 +879,8 @@ def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
         subset = set(base.candidates) - set(witness)
         winners = tally(project(base, subset), system).winners
     elif family == ADD_VOTERS:
-        groups = list(base.ballots)
-        for take, g in zip(witness, instance.pool):
-            if take:
-                groups.append(BallotGroup(g.scores, take))
-        winners = tally(Election(base.k, base.candidates, tuple(groups)), system).winners
+        taken = tuple(BallotGroup(g.scores, take) for take, g in zip(witness, instance.pool) if take)
+        winners = tally(Election(base.k, base.candidates, base.ballots + taken), system).winners
     elif family == DELETE_VOTERS:
         winners = tally(drop_voters(base, list(witness)), system).winners
     elif family in (PARTITION_CANDIDATES, RUNOFF_PARTITION_CANDIDATES):
@@ -926,9 +923,7 @@ def _check_action(instance: ControlInstance, witness: tuple) -> None:
 
 def scale_instance(instance: ControlInstance, a: int) -> ControlInstance:
     """Scale the base election (and pool ballots) by ``a``; decisions are invariant."""
-    pool = tuple(
-        BallotGroup(tuple(s * a for s in g.scores), g.multiplicity) for g in instance.pool
-    )
+    pool = scale_election(Election(instance.base.k, instance.base.candidates, instance.pool), a).ballots
     return replace(instance, base=scale_election(instance.base, a), pool=pool)
 
 

@@ -1,7 +1,9 @@
 """Range-voting elections with exact tallies.
 
-A ballot assigns every candidate an integer score in ``[0, k]``.  Two
-aggregation systems are supported:
+A ballot assigns every candidate an integer score in ``[0, k]``, cast by
+a positive integer count of voters: :func:`ballot_error` states that rule,
+:class:`Election` applies it, and ``fileio`` calls it only to put a line
+number on a rejected row.  Two aggregation systems are supported:
 
 * ``rv`` -- plain range voting; totals are multiplicity-weighted raw sums.
 * ``nrv`` -- normalized range voting; before summation each ballot is
@@ -37,7 +39,9 @@ __all__ = [
     "RV",
     "NRV",
     "SYSTEMS",
+    "MAX_ROW_BITS",
     "InvalidElection",
+    "ballot_error",
     "BallotGroup",
     "Election",
     "Tally",
@@ -56,35 +60,41 @@ RV = "rv"
 NRV = "nrv"
 SYSTEMS = (RV, NRV)
 
+# the most bits of exact rows :func:`integer_rows` builds (scale bit length x scores): 128 MiB
+MAX_ROW_BITS = 2**30
+
 
 class InvalidElection(ValueError):
     """Raised when election data violates a structural invariant."""
 
 
-def _check_system(system: str) -> None:
-    if system not in SYSTEMS:
-        raise ValueError(f"unknown voting system {system!r}; expected one of {SYSTEMS}")
+def ballot_error(scores: Sequence[int], count: int, k: int, width: int) -> str | None:
+    """Why ``count`` voters casting ``scores`` break the ballot rule, or ``None``.
+    The rule: a positive integer count, and an integer score in ``[0, k]`` per candidate."""
+    if not isinstance(count, int):
+        return f"voter count must be an integer, got {count!r}"
+    if count < 1:
+        return f"voter count must be positive, got {count}"
+    if len(scores) != width:
+        return f"expected {width} scores, got {len(scores)}"
+    for s in scores:
+        if not isinstance(s, int):
+            return f"score must be an integer, got {s!r}"
+        if not 0 <= s <= k:
+            return f"score {s} outside [0, {k}]"
+    return None
 
 
 @dataclass(frozen=True)
 class BallotGroup:
     """A block of ``multiplicity`` identical voters.
 
-    ``scores`` is aligned with the owning election's candidate order.
+    ``scores`` is aligned with the owning election's candidate order.  A
+    plain value: :class:`Election` checks it.
     """
 
     scores: tuple[int, ...]
     multiplicity: int = 1
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "scores", tuple(self.scores))
-        for s in self.scores:
-            if not isinstance(s, int):
-                raise InvalidElection(f"ballot scores must be integers, got {s!r}")
-            if s < 0:
-                raise InvalidElection(f"negative ballot score {s}")
-        if not isinstance(self.multiplicity, int) or self.multiplicity < 1:
-            raise InvalidElection(f"multiplicity must be a positive integer, got {self.multiplicity!r}")
 
 
 @dataclass(frozen=True)
@@ -117,14 +127,11 @@ class Election:
         for group in self.ballots:
             if not isinstance(group, BallotGroup):
                 group = BallotGroup(*group)
-            if len(group.scores) != len(candidates):
-                raise InvalidElection(
-                    f"ballot scores {group.scores} do not cover the {len(candidates)} candidates"
-                )
-            for s in group.scores:
-                if s > self.k:
-                    raise InvalidElection(f"score {s} exceeds range k={self.k}")
-            merged[group.scores] = merged.get(group.scores, 0) + group.multiplicity
+            error = ballot_error(group.scores, group.multiplicity, self.k, len(candidates))
+            if error is not None:
+                raise InvalidElection(error)
+            scores = tuple(group.scores)
+            merged[scores] = merged.get(scores, 0) + group.multiplicity
         groups = tuple(BallotGroup(vec, mult) for vec, mult in sorted(merged.items()))
         object.__setattr__(self, "candidates", candidates)
         object.__setattr__(self, "ballots", groups)
@@ -144,8 +151,7 @@ class Election:
         cls, k: int, candidates: Sequence[str], rows: Iterable[tuple[int, Sequence[int]]]
     ) -> "Election":
         """Build from ``(multiplicity, score-vector)`` rows."""
-        groups = [BallotGroup(tuple(scores), mult) for mult, scores in rows]
-        return cls(k, tuple(candidates), tuple(groups))
+        return cls(k, tuple(candidates), tuple(BallotGroup(tuple(s), mult) for mult, s in rows))
 
     @classmethod
     def from_maps(
@@ -210,12 +216,17 @@ def integer_rows(
     the ballots' score spans and score ``s`` becomes
     ``k*(s - lo)*(L/span)``, ``L`` times its :func:`normalize_ballot`
     entry; a ballot with a zero span is not counted and becomes a zero row.
+    A ``ValueError`` refuses an ``L`` whose rows would pass ``MAX_ROW_BITS``.
     """
-    _check_system(system)
+    if system not in SYSTEMS:
+        raise ValueError(f"unknown voting system {system!r}; expected one of {SYSTEMS}")
     if system == RV:
         return list(vectors), 1
     bounds = [(min(v), max(v)) if v else (0, 0) for v in vectors]
     scale = math.lcm(*(hi - lo for lo, hi in bounds if hi != lo))
+    if scale.bit_length() * sum(map(len, vectors)) > MAX_ROW_BITS:
+        raise ValueError(f"the nrv scale has {scale.bit_length()} bits: exact rows for "
+                         f"{sum(map(len, vectors))} scores would exceed {MAX_ROW_BITS} bits")
     rows: list[Sequence[int]] = []
     for v, (lo, hi) in zip(vectors, bounds):
         if hi == lo:
@@ -264,9 +275,7 @@ def project(election: Election, subset: Iterable[str]) -> Election:
         raise InvalidElection(f"cannot project onto unknown candidates {sorted(unknown)}")
     keep = [i for i, c in enumerate(election.candidates) if c in wanted]
     cands = tuple(election.candidates[i] for i in keep)
-    groups = tuple(
-        BallotGroup(tuple(g.scores[i] for i in keep), g.multiplicity) for g in election.ballots
-    )
+    groups = tuple(BallotGroup(tuple(g.scores[i] for i in keep), g.multiplicity) for g in election.ballots)
     return Election(election.k, cands, groups)
 
 
@@ -274,9 +283,7 @@ def scale_election(election: Election, a: int) -> Election:
     """Multiply the range and every score by ``a`` (argmax-preserving)."""
     if not isinstance(a, int) or a < 1:
         raise ValueError(f"scale factor must be a positive integer, got {a!r}")
-    groups = tuple(
-        BallotGroup(tuple(s * a for s in g.scores), g.multiplicity) for g in election.ballots
-    )
+    groups = tuple(BallotGroup(tuple(s * a for s in g.scores), g.multiplicity) for g in election.ballots)
     return Election(election.k * a, election.candidates, groups)
 
 
@@ -284,14 +291,7 @@ def from_approval(
     candidates: Sequence[str], groups: Iterable[tuple[Sequence[int], int]]
 ) -> Election:
     """Embed approval ballots (0/1 vectors with multiplicities) as a 1-range election."""
-    rows = []
-    for scores, mult in groups:
-        vec = tuple(scores)
-        for s in vec:
-            if s not in (0, 1):
-                raise InvalidElection(f"approval scores must be 0 or 1, got {s!r}")
-        rows.append((mult, vec))
-    return Election.from_rows(1, candidates, rows)
+    return Election.from_rows(1, candidates, ((mult, scores) for scores, mult in groups))
 
 
 def take_voters(election: Election, counts: Sequence[int]) -> Election:

@@ -37,7 +37,7 @@ from __future__ import annotations
 import sys
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING
 
 from .control import (
     ADD_VOTERS,
@@ -49,7 +49,7 @@ from .control import (
     ControlInstance,
     InvalidInstance,
 )
-from .elections import RV, SYSTEMS, BallotGroup, Election, InvalidElection
+from .elections import RV, SYSTEMS, BallotGroup, Election, InvalidElection, ballot_error
 
 if TYPE_CHECKING:
     from .gadgets import HittingSetInstance, X3CInstance
@@ -104,10 +104,10 @@ def parse_election(text: str) -> ParsedElection:
     k: int | None = None
     system: str | None = None
     candidates: list[str] | None = None
-    ballot_rows: list[tuple[int, int, tuple[int, ...]]] = []  # (line, mult, scores)
-    pool_rows: list[tuple[int, int, tuple[int, ...]]] = []
+    ballot_rows: list[tuple[int, BallotGroup]] = []  # (line, group)
+    pool_rows: list[tuple[int, BallotGroup]] = []
     fields: dict[str, tuple[int, str]] = {}
-    sink: list[tuple[int, int, tuple[int, ...]]] | None = None
+    sink: list[tuple[int, BallotGroup]] | None = None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -155,16 +155,11 @@ def parse_election(text: str) -> ParsedElection:
         raise ParseError("missing required header range:")
     if candidates is None:
         raise ParseError("missing required header candidates:")
-    seen: set[str] = set()
-    for cid in candidates:
-        if cid in seen:
-            raise ParseError(f"duplicate candidate id {cid!r}")
-        seen.add(cid)
 
     try:
-        election = Election(k, tuple(candidates), _ballot_groups(k, candidates, ballot_rows))
+        election = Election(k, tuple(candidates), tuple(g for _, g in ballot_rows))
     except InvalidElection as exc:
-        raise ParseError(str(exc)) from exc
+        raise _at_row(exc, k, len(candidates), ballot_rows) from exc
     instance = _build_instance(election, system, fields, pool_rows)
     return ParsedElection(election, instance, system)
 
@@ -183,39 +178,30 @@ def _parse_int(value: str, what: str, lineno: int) -> int:
         raise ParseError(f"{what} must be an integer, got {value!r}", lineno) from None
 
 
-def _parse_ballot_line(line: str, lineno: int) -> tuple[int, int, tuple[int, ...]]:
+def _parse_ballot_line(line: str, lineno: int) -> tuple[int, BallotGroup]:
     mult_part, sep, score_part = line.partition("|")
     if not sep:
         raise ParseError("ballot line must look like '<count> | <scores>'", lineno)
     mult = _parse_int(mult_part.strip(), "voter count", lineno)
-    if mult < 1:
-        raise ParseError(f"voter count must be positive, got {mult}", lineno)
     scores = tuple(_parse_int(tok, "score", lineno) for tok in score_part.split())
-    return lineno, mult, scores
+    return lineno, BallotGroup(scores, mult)
 
 
-def _ballot_groups(
-    k: int, candidates: Sequence[str], rows: list[tuple[int, int, tuple[int, ...]]]
-) -> tuple[BallotGroup, ...]:
-    """Ballot or pool rows as groups, each checked for width and score range."""
-    groups = []
-    for lineno, mult, scores in rows:
-        if len(scores) != len(candidates):
-            raise ParseError(
-                f"expected {len(candidates)} scores, got {len(scores)}", lineno
-            )
-        for s in scores:
-            if not 0 <= s <= k:
-                raise ParseError(f"score {s} outside [0, {k}]", lineno)
-        groups.append(BallotGroup(scores, mult))
-    return tuple(groups)
+def _at_row(exc: ValueError, k: int, width: int, rows: list[tuple[int, BallotGroup]]) -> ParseError:
+    """``exc`` as a ParseError, at the line of the first row breaking the ballot
+    rule when that row's :func:`ballot_error` is what ``exc`` reports."""
+    for lineno, group in rows:
+        error = ballot_error(group.scores, group.multiplicity, k, width)
+        if error is not None:
+            return ParseError(error, lineno) if str(exc).endswith(error) else ParseError(str(exc))
+    return ParseError(str(exc))
 
 
 def _build_instance(
     election: Election,
     system: str | None,
     fields: dict[str, tuple[int, str]],
-    pool_rows: list,
+    pool_rows: list[tuple[int, BallotGroup]],
 ) -> ControlInstance | None:
     if "action" not in fields:
         leftovers = set(fields) | ({"pool"} if pool_rows else set())
@@ -254,7 +240,6 @@ def _build_instance(
             raise ParseError(f"unknown spoiler candidates {unknown}", spoiler_field[0])
     if pool_rows and family != ADD_VOTERS:
         raise ParseError("pool: is only valid for add-voters", pool_rows[0][0])
-    pool = _ballot_groups(election.k, election.candidates, pool_rows)
     try:
         return ControlInstance(
             base=election,
@@ -265,10 +250,10 @@ def _build_instance(
             tie_model=tie_model,
             limit=limit,
             spoilers=spoilers,
-            pool=pool,
+            pool=tuple(g for _, g in pool_rows),
         )
     except InvalidInstance as exc:
-        raise ParseError(str(exc)) from exc
+        raise _at_row(exc, election.k, len(election.candidates), pool_rows) from exc
 
 
 def serialize_election(

@@ -43,45 +43,48 @@ def solve_hitting_set(hs: HittingSetInstance) -> OracleResult:
     order = {e: i for i, e in enumerate(hs.universe)}
     masks = [_mask(s, order) for s in hs.sets]
     n = hs.n
-
-    def lower_bound(unhit: list[int]) -> int:
-        # greedy count of pairwise disjoint unhit sets
-        used = 0
-        count = 0
-        for sm in unhit:
-            if not sm & used:
-                count += 1
-                used |= sm
-        return count
-
-    def dfs(start: int, unhit: list[int], chosen: list[int], budget: int) -> tuple[int, ...] | None:
-        if not unhit:
-            return tuple(chosen)
-        if budget == 0 or lower_bound(unhit) > budget:
-            return None
-        remaining = ((1 << n) - 1) >> start << start
-        for sm in unhit:
-            if not sm & remaining:
-                return None
-        for i in range(start, n):
-            bit = 1 << i
-            if not any(sm & bit for sm in unhit):
-                continue
-            chosen.append(i)
-            found = dfs(i + 1, [sm for sm in unhit if not sm & bit], chosen, budget - 1)
-            if found is not None:
-                return found
-            chosen.pop()
-        return None
-
     best: tuple[int, ...] | None = None
     for size in range(n + 1):
-        best = dfs(0, masks, [], size)
+        best = _hitting_set_dfs(n, 0, masks, [], size)
         if best is not None:
             break
     assert best is not None  # B itself always hits every (nonempty) set
     witness = tuple(hs.universe[i] for i in best)
     return OracleResult(len(best) <= hs.k, witness if len(best) <= hs.k else (), len(best))
+
+
+def _disjoint_count(unhit: list[int]) -> int:
+    """A greedy count of pairwise disjoint unhit sets: a lower bound on the sets left to pick."""
+    used = 0
+    count = 0
+    for sm in unhit:
+        if not sm & used:
+            count += 1
+            used |= sm
+    return count
+
+
+def _hitting_set_dfs(n: int, start: int, unhit: list[int], chosen: list[int], budget: int) -> tuple | None:
+    """The first hitting set of ``unhit`` extending ``chosen`` by at most ``budget``
+    elements of index ``start`` or more, taken in ascending index order."""
+    if not unhit:
+        return tuple(chosen)
+    if budget == 0 or _disjoint_count(unhit) > budget:
+        return None
+    remaining = ((1 << n) - 1) >> start << start
+    for sm in unhit:
+        if not sm & remaining:
+            return None
+    for i in range(start, n):
+        bit = 1 << i
+        if not any(sm & bit for sm in unhit):
+            continue
+        chosen.append(i)
+        found = _hitting_set_dfs(n, i + 1, [sm for sm in unhit if not sm & bit], chosen, budget - 1)
+        if found is not None:
+            return found
+        chosen.pop()
+    return None
 
 
 def solve_x3c(x3c: X3CInstance) -> OracleResult:

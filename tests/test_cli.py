@@ -3,6 +3,7 @@
 import contextlib
 import io
 import os
+import random
 import subprocess
 import sys
 import time
@@ -14,6 +15,7 @@ import pytest
 import rangecontrol
 from rangecontrol import control
 from rangecontrol.cli import _build_parser, _parse, run_cli
+from rangecontrol.elections import tally
 from rangecontrol.fileio import parse_election
 
 from helpers import reference_scan
@@ -154,6 +156,65 @@ class TestTally:
         assert f"at most {sys.get_int_max_str_digits()} digits, got 5000 digits" in err
         assert len(err) < 200
 
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() has no digit limit before Python 3.10.7")
+    def test_a_total_past_the_digit_limit_names_its_candidate(self, tmp_path):
+        path = tmp_path / "long-totals.txt"
+        path.write_text(_seeded_nrv_file(2000, 10))
+        previous = sys.get_int_max_str_digits()
+        try:
+            sys.set_int_max_str_digits(4300)
+            code, out, err = cli("tally", "--system", "nrv", str(path))
+            sys.set_int_max_str_digits(0)
+            total = tally(parse_election(path.read_text()).election, "nrv").totals["c0"]
+            digits, denominator_digits = len(str(total.numerator)), len(str(total.denominator))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert 4300 < denominator_digits < digits
+        assert (code, out) == (2, "")
+        assert err == (f"error: the exact total of candidate c0 has a {digits}-digit numerator, "
+                       "over the 4300-digit limit of integer string conversion; "
+                       "PYTHONINTMAXSTRDIGITS=0 lifts it\n")
+
+
+def _seeded_nrv_file(groups, width, instance=""):
+    """An nrv file at range 10^6 with scores uniform in [0, 10^6] and 1 to 9 voters a group."""
+    rng = random.Random(0)
+    rows = []
+    for _ in range(groups):
+        scores = " ".join(str(rng.randint(0, 10**6)) for _ in range(width))
+        rows.append(f"{rng.randint(1, 9)} | {scores}\n")
+    candidates = " ".join(f"c{i}" for i in range(width))
+    return "".join([f"range: 1000000\nsystem: nrv\ncandidates: {candidates}\nballots:\n",
+                    *rows, instance])
+
+
+@pytest.fixture(scope="module")
+def oversized_scale_path(tmp_path_factory):
+    # 20,000 groups x 30 candidates: L has 135,980 bits, and the counted rows
+    # would hold about 8 x 10^10 bits
+    path = tmp_path_factory.mktemp("oversized") / "oversized-scale.txt"
+    path.write_text(_seeded_nrv_file(20_000, 30, "action: delete-voters\ngoal: constructive\n"
+                                                 "distinguished: c0\nlimit: 1\n"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [("tally", "--system", "nrv"), ("control", "--budget", "1")],
+                         ids=["tally", "control"])
+def test_an_oversized_nrv_scale_exits_2_before_building_rows(oversized_scale_path, argv):
+    import resource
+
+    def cap_address_space():  # building the rows could then only fail, never exhaust memory
+        resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31))
+
+    src = str(Path(rangecontrol.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "rangecontrol", *argv, oversized_scale_path],
+                          capture_output=True, text=True, env=env, timeout=120,
+                          preexec_fn=cap_address_space)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, "", "error: the nrv scale has 135980 bits: exact rows for 600000 scores "
+               "would exceed 1073741824 bits\n")
 
 
 _LONG = "x" * 5000

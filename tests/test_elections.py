@@ -1,5 +1,7 @@
 """Core election semantics: exact tallies, normalization, projections."""
 
+import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rangecontrol.elections import (
+    MAX_ROW_BITS,
     NRV,
     RV,
     BallotGroup,
@@ -149,6 +152,24 @@ class TestIntegerKernel:
     def test_unknown_system(self):
         with pytest.raises(ValueError):
             integer_rows([(0, 1)], 1, "borda")
+
+    def test_an_oversized_scale_is_refused_before_any_row_is_built(self):
+        # spans 1..20000: L = lcm(1..20000) has 28,820 bits, and 40,000 scores of
+        # that length would take about 144 MB
+        vectors = [(0, span) for span in range(1, 20_001)]
+        bits = math.lcm(*range(1, 20_001)).bit_length()
+        assert bits * 40_000 > MAX_ROW_BITS
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as err:
+                integer_rows(vectors, 20_000, NRV)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == (f"the nrv scale has {bits} bits: exact rows for 40000 scores "
+                                  f"would exceed {MAX_ROW_BITS} bits")
+        assert peak < 4 * 2**20
+        assert integer_rows(vectors, 20_000, RV)[1] == 1  # rv rows are the raw scores
 
     def test_weighted_sums_skip_zero_weights(self):
         assert weighted_sums([(1, 2), (5, 5)], [3, 0], [1, 1]) == [4, 7]

@@ -2,8 +2,15 @@
 
 import pytest
 
-from rangecontrol.control import ADD_CANDIDATES, ADD_VOTERS, PARTITION_VOTERS
-from rangecontrol.elections import BallotGroup, Election
+from rangecontrol.control import (
+    ADD_CANDIDATES,
+    ADD_VOTERS,
+    CONSTRUCTIVE,
+    PARTITION_VOTERS,
+    ControlInstance,
+    InvalidInstance,
+)
+from rangecontrol.elections import RV, BallotGroup, Election, InvalidElection, from_approval
 from rangecontrol.fileio import (
     ParseError,
     parse_election,
@@ -266,3 +273,55 @@ def test_rejection_message(parse, text, message):
     with pytest.raises(ParseError) as err:
         parse(text)
     assert str(err.value) == message
+
+
+# each breach of the ballot rule at range 1: (candidates, scores, voter count, message)
+_VIOLATIONS = {
+    "non-integer score": (("a", "b"), ("x", 0), 1, "score must be an integer, got 'x'"),
+    "score below 0": (("a", "b"), (-1, 0), 1, "score -1 outside [0, 1]"),
+    "score above k": (("a", "b"), (2, 0), 1, "score 2 outside [0, 1]"),
+    "wrong width": (("a", "b"), (1,), 1, "expected 2 scores, got 1"),
+    "zero count": (("a", "b"), (1, 0), 0, "voter count must be positive, got 0"),
+    "non-integer count": (("a", "b"), (1, 0), "x", "voter count must be an integer, got 'x'"),
+    "duplicate candidate": (("a", "a"), (1, 0), 1, "duplicate candidate id 'a'"),
+}
+
+
+def _row(scores, count):
+    return f"{count} | {' '.join(str(s) for s in scores)}"
+
+
+# entry point -> (build from candidates, scores and count; its error; the prefix
+# it puts on a ballot-row message)
+_ENTRY_POINTS = {
+    "Election": (lambda c, s, n: Election(1, c, (BallotGroup(s, n),)), InvalidElection, ""),
+    "Election.from_rows": (lambda c, s, n: Election.from_rows(1, c, [(n, s)]), InvalidElection, ""),
+    "from_approval": (lambda c, s, n: from_approval(c, [(s, n)]), InvalidElection, ""),
+    "ControlInstance pool": (
+        lambda c, s, n: ControlInstance(
+            base=Election(1, c), family=ADD_VOTERS, goal=CONSTRUCTIVE, system=RV,
+            distinguished="a", limit=1, pool=(BallotGroup(s, n),)),
+        InvalidInstance, "bad voter pool: "),
+    "parse_election ballots": (
+        lambda c, s, n: parse_election(
+            f"range: 1\ncandidates: {' '.join(c)}\nballots:\n{_row(s, n)}\n"),
+        ParseError, "line 4: "),
+    "parse_election pool": (
+        lambda c, s, n: parse_election(
+            f"range: 1\ncandidates: {' '.join(c)}\nballots:\n1 | 1 0\naction: add-voters\n"
+            f"goal: constructive\ndistinguished: a\nlimit: 1\npool:\n{_row(s, n)}\n"),
+        ParseError, "line 10: "),
+}
+
+
+@pytest.mark.parametrize("violation, entry", [
+    (violation, entry) for violation in _VIOLATIONS for entry in _ENTRY_POINTS
+    if not (violation == "duplicate candidate" and entry.endswith("pool"))
+])
+def test_every_entry_point_states_a_ballot_violation_alike(violation, entry):
+    candidates, scores, count, message = _VIOLATIONS[violation]
+    build, error, prefix = _ENTRY_POINTS[entry]
+    with pytest.raises(error) as err:
+        build(candidates, scores, count)
+    # a duplicate candidate is no fault of a ballot row, so it names no line
+    assert str(err.value) == (message if violation == "duplicate candidate" else prefix + message)

@@ -1,5 +1,7 @@
 """Ground-truth solvers for hitting set and exact cover by 3-sets."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +67,17 @@ class TestHittingSet:
         if solve_hitting_set(inst).decision:
             bigger = HittingSetInstance(inst.universe, inst.sets, inst.k + 1)
             assert solve_hitting_set(bigger).decision is True
+
+    def test_a_call_leaves_no_reference_cycle(self):
+        inst = hs("b1 b2 b3 b4".split(), [["b2", "b3"], ["b1", "b4"], ["b3"], ["b1", "b2"]], 2)
+        gc.collect()
+        gc.disable()
+        try:
+            out = solve_hitting_set(inst)
+            assert gc.collect() == 0  # nothing the call made needs the cyclic collector
+        finally:
+            gc.enable()
+        assert out.witness == ("b1", "b3") and out.optimum == 2
 
 
 class TestX3C:
