@@ -15,7 +15,7 @@ import sys
 import warnings
 from dataclasses import replace
 from fractions import Fraction
-from typing import Sequence, TextIO
+from typing import Iterator, Sequence, TextIO
 
 from . import control as ctl
 from . import fileio
@@ -221,15 +221,22 @@ def _cmd_control(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _warnings_to(err: TextIO) -> Iterator[None]:
+    """Print each warning the block raises to ``err`` as ``warning: ...`` once it succeeds."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        yield
+    for w in caught:
+        print(f"warning: {w.message}", file=err)
+
+
 def _cmd_gadget(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from . import harness
 
     text = _read(args.file)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_to(err):
         gadget = harness.build_gadget(args.type, harness.read_source(args.type, text))
-    for w in caught:
-        print(f"warning: {w.message}", file=err)
     if not 0 <= args.instance < len(gadget.instances):
         raise ValueError(f"--instance must be in [0, {len(gadget.instances) - 1}]")
     chosen = gadget.instances[args.instance]
@@ -250,13 +257,10 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     from .oracles import solve_hitting_set, solve_x3c
 
     text = _read(args.file)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
+    with _warnings_to(err):
         problem = fileio.parse_problem(text)
         exact_cover = isinstance(problem, X3CInstance)
         result = solve_x3c(problem) if exact_cover else solve_hitting_set(problem)
-    for w in caught:
-        print(f"warning: {w.message}", file=err)
     print("YES" if result.decision else "NO", file=out)
     if result.decision:
         if exact_cover:

@@ -290,9 +290,12 @@ def serialize_election(
 # ---------------------------------------------------------------------------
 # NP-problem instance files
 
-def _parse_problem_file(text: str) -> tuple[list[str], list[tuple[int, list[str]]], tuple[int, int] | None]:
-    elements: list[str] | None = None
-    sets: list[tuple[int, list[str]]] = []
+_Line = tuple[int, list[str]]  # a line number and the names listed on that line
+
+
+def _parse_problem_file(text: str) -> tuple[_Line, list[_Line], tuple[int, int] | None]:
+    elements: _Line | None = None
+    sets: list[_Line] = []
     k: tuple[int, int] | None = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip(raw)
@@ -306,12 +309,9 @@ def _parse_problem_file(text: str) -> tuple[list[str], list[tuple[int, list[str]
         if key == "elements":
             if elements is not None:
                 raise ParseError("duplicate elements: line", lineno)
-            elements = value.split()
+            elements = (lineno, value.split())
         elif key == "set":
-            members = value.split()
-            if not members:
-                raise ParseError("a set must list at least one element", lineno)
-            sets.append((lineno, members))
+            sets.append((lineno, value.split()))
         elif key == "k":
             if k is not None:
                 raise ParseError("duplicate k: line", lineno)
@@ -325,39 +325,26 @@ def _parse_problem_file(text: str) -> tuple[list[str], list[tuple[int, list[str]
     return elements, sets, k
 
 
-def _dedupe_set(lineno: int, members: list[str], elements: list[str]) -> tuple[str, ...]:
-    known = set(elements)
-    for e in members:
-        if e not in known:
-            raise ParseError(f"element {e!r} not in the declared universe", lineno)
-    unique = list(dict.fromkeys(members))
-    if len(unique) != len(members):
-        warnings.warn(
-            f"line {lineno}: duplicate elements within a set collapsed", stacklevel=4
-        )
-    return tuple(unique)
-
-
 def _problem(
-    elements: list[str], sets: list[tuple[int, list[str]]], k: tuple[int, int] | None
+    elements: _Line, sets: list[_Line], k: tuple[int, int] | None
 ) -> HittingSetInstance | X3CInstance:
     """A hitting-set instance when the file gave ``k``, else an exact-cover instance."""
-    from .gadgets import GadgetError, HittingSetInstance, X3CInstance  # not loaded by a cold `control`
+    # gadgets holds the set rules; a cold `control` does not load it
+    from .gadgets import GadgetError, HittingSetInstance, X3CInstance, set_error, universe_error
 
-    canon = []
-    for lineno, members in sets:
-        members_canon = _dedupe_set(lineno, members, elements)
-        if k is None and len(members_canon) != 3:
-            raise ParseError(
-                f"exact-cover sets need exactly 3 elements, got {len(members_canon)}", lineno
-            )
-        canon.append(members_canon)
+    universe, family = elements[1], [m for _, m in sets]
     try:
-        if k is None:
-            return X3CInstance(tuple(elements), tuple(canon))
-        return HittingSetInstance(tuple(elements), tuple(canon), k[1])
-    except GadgetError as exc:
-        raise ParseError(str(exc)) from exc
+        instance = X3CInstance(universe, family) if k is None else HittingSetInstance(universe, family, k[1])
+    except GadgetError as exc:  # put at the first line breaking its rule when that is ``exc``
+        known, size = set(universe), (3 if k is None else None)
+        breaches = [(elements[0], universe_error(universe))]
+        breaches += [(lineno, set_error(m, known, size)) for lineno, m in sets]
+        lineno, error = next((b for b in breaches if b[1] is not None), (None, None))
+        raise ParseError(str(exc), lineno if error == str(exc) else None) from exc
+    for lineno, m in sets:
+        if len(set(m)) < len(m):
+            warnings.warn(f"line {lineno}: duplicate elements within a set collapsed", stacklevel=3)
+    return instance
 
 
 def parse_problem(text: str) -> HittingSetInstance | X3CInstance:

@@ -12,13 +12,18 @@ Builders construct exactly what the target design prescribes and never
 silently repair a suspect construction: when a stated score formula and
 the strict re-normalization semantics disagree, the assertion is still
 attached so the audit can record which value materializes.
+
+Source instances validate themselves: ``HittingSetInstance`` and
+``X3CInstance`` check :func:`universe_error` and then :func:`set_error`
+on each set in order, the one statement of those rules, before their
+own; the file parser calls them only to put a line number on a rejection.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping, Sequence
 
 from .control import (
     ADD_CANDIDATES,
@@ -38,6 +43,8 @@ __all__ = [
     "GadgetError",
     "HittingSetInstance",
     "X3CInstance",
+    "set_error",
+    "universe_error",
     "ScoreIdentity",
     "GadgetOutput",
     "satisfies_size_restriction",
@@ -58,6 +65,36 @@ class GadgetError(ValueError):
     """Raised when a source instance violates a gadget precondition."""
 
 
+def universe_error(universe: Sequence[str]) -> str | None:
+    """The universe rule (distinct elements): its message when broken, else None."""
+    return None if len(set(universe)) == len(universe) else "universe elements must be distinct"
+
+
+def set_error(members: Sequence[str], universe: Container[str], size: int | None) -> str | None:
+    """The first breach of the per-set rule by ``members``, or None: at least one element,
+    each in ``universe``, and ``size`` distinct ones (3 for exact cover, None for hitting set)."""
+    if not members:
+        return "a set must list at least one element"
+    for e in members:
+        if e not in universe:
+            return f"element {e!r} not in the declared universe"
+    if size is not None and len(set(members)) != size:
+        return f"exact-cover sets need exactly {size} elements, got {len(set(members))}"
+    return None
+
+
+def _canonicalize(instance: HittingSetInstance | X3CInstance, field: str, size: int | None) -> None:
+    """Check the universe ``instance.<field>`` and then each set in order, and store
+    both as tuples, each set deduplicated in universe order."""
+    universe, sets = tuple(getattr(instance, field)), tuple(map(tuple, instance.sets))
+    order = {e: i for i, e in enumerate(universe)}
+    error = universe_error(universe) or next(filter(None, (set_error(s, order, size) for s in sets)), None)
+    if error is not None:
+        raise GadgetError(error)
+    object.__setattr__(instance, field, universe)
+    object.__setattr__(instance, "sets", tuple(tuple(sorted(set(s), key=order.__getitem__)) for s in sets))
+
+
 @dataclass(frozen=True)
 class HittingSetInstance:
     """Universe ``B`` (n elements), family ``S`` of m nonempty subsets, budget ``k``.
@@ -72,27 +109,11 @@ class HittingSetInstance:
     k: int
 
     def __post_init__(self) -> None:
-        universe = tuple(self.universe)
-        if not universe:
-            raise GadgetError("hitting set universe must be nonempty")
-        if len(set(universe)) != len(universe):
-            raise GadgetError("universe elements must be distinct")
-        order = {e: i for i, e in enumerate(universe)}
-        canon = []
-        for s in self.sets:
-            members = sorted(set(s), key=lambda e: order.get(e, -1))
-            if not members:
-                raise GadgetError("every set in the family must be nonempty")
-            unknown = [e for e in members if e not in order]
-            if unknown:
-                raise GadgetError(f"set elements outside the universe: {unknown}")
-            canon.append(tuple(members))
-        if not canon:
+        _canonicalize(self, "universe", None)
+        if not self.sets:
             raise GadgetError("the set family must be nonempty")
-        if not isinstance(self.k, int) or not 1 <= self.k <= len(universe):
-            raise GadgetError(f"budget k must satisfy 1 <= k <= {len(universe)}, got {self.k!r}")
-        object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "sets", tuple(canon))
+        if not isinstance(self.k, int) or not 1 <= self.k <= self.n:
+            raise GadgetError(f"budget k must satisfy 1 <= k <= {self.n}, got {self.k!r}")
 
     @property
     def n(self) -> int:
@@ -116,31 +137,15 @@ class X3CInstance:
     sets: tuple[tuple[str, ...], ...]
 
     def __post_init__(self) -> None:
-        elements = tuple(self.elements)
-        if not elements or len(elements) % 3:
+        _canonicalize(self, "elements", 3)
+        if not self.elements or len(self.elements) % 3:
             raise GadgetError("universe size must be a positive multiple of 3")
-        if len(set(elements)) != len(elements):
-            raise GadgetError("universe elements must be distinct")
-        order = {e: i for i, e in enumerate(elements)}
-        canon = []
-        covered: set[str] = set()
-        for s in self.sets:
-            members = sorted(set(s), key=lambda e: order.get(e, -1))
-            if len(members) != 3:
-                raise GadgetError(f"every set must contain exactly 3 distinct elements, got {tuple(s)}")
-            unknown = [e for e in members if e not in order]
-            if unknown:
-                raise GadgetError(f"set elements outside the universe: {unknown}")
-            covered.update(members)
-            canon.append(tuple(members))
-        k = len(elements) // 3
-        if len(canon) < k:
-            raise GadgetError(f"need at least k={k} sets, got {len(canon)}")
-        missing = [e for e in elements if e not in covered]
+        if len(self.sets) < self.k:
+            raise GadgetError(f"need at least k={self.k} sets, got {len(self.sets)}")
+        covered = set().union(*self.sets)
+        missing = [e for e in self.elements if e not in covered]
         if missing:
             raise GadgetError(f"elements not covered by any set: {missing}")
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "sets", tuple(canon))
 
     @property
     def k(self) -> int:

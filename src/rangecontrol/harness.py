@@ -557,7 +557,7 @@ def decode_deletion_source(text: str) -> tuple[Election, str, int]:
 
 
 def _names(value: str) -> tuple[str, ...]:
-    return tuple(value.split(","))
+    return tuple(value.split(",")) if value else ()
 
 
 def _name_sets(value: str) -> tuple[tuple[str, ...], ...]:

@@ -19,8 +19,13 @@ from rangecontrol.fileio import (
     parse_x3c_instance,
     serialize_election,
 )
-from rangecontrol.gadgets import HittingSetInstance, X3CInstance
-from rangecontrol.harness import gen_random_control_instance, gen_random_election
+from rangecontrol.gadgets import GadgetError, HittingSetInstance, X3CInstance
+from rangecontrol.harness import (
+    decode_hs,
+    decode_x3c,
+    gen_random_control_instance,
+    gen_random_election,
+)
 
 TWO_RANGE_FILE = """\
 # a 2-range election
@@ -263,6 +268,7 @@ _BASE = "range: 2\ncandidates: a b\nballots:\n1 | 2 0\n"
      "line 10: pool: is only valid for add-voters"),
     (parse_problem, "elements b1\n", "line 1: expected 'key: value', got 'elements b1'"),
     (parse_problem, "elements: b1\nelements: b2\n", "line 2: duplicate elements: line"),
+    (parse_problem, "elements: b1 b1\nset: b1\nk: 1\n", "line 1: universe elements must be distinct"),
     (parse_problem, "elements: b1\nset:\n", "line 2: a set must list at least one element"),
     (parse_problem, "elements: b1\nset: b1\nsize: 1\n", "line 3: unknown header 'size'"),
     (parse_problem, "set: b1\nk: 1\n", "missing required header elements:"),
@@ -325,3 +331,49 @@ def test_every_entry_point_states_a_ballot_violation_alike(violation, entry):
         build(candidates, scores, count)
     # a duplicate candidate is no fault of a ballot row, so it names no line
     assert str(err.value) == (message if violation == "duplicate candidate" else prefix + message)
+
+
+# each breach of the per-set rule in a universe of b1 b2 b3: (set members, message)
+_SET_VIOLATIONS = {
+    "empty set": ((), "a set must list at least one element"),
+    "element outside the universe": (("b1", "zz"), "element 'zz' not in the declared universe"),
+    "exact-cover set of 2 elements": (("b1", "b2"), "exact-cover sets need exactly 3 elements, got 2"),
+}
+
+_UNIVERSE = ("b1", "b2", "b3")
+
+
+def _set_lines(members):
+    return f"elements: {' '.join(_UNIVERSE)}\nset: b1 b2 b3\nset: {' '.join(members)}\n"
+
+
+# entry point -> (build from one bad set after a good one; its error; the prefix it
+# puts on a set message; whether it reads exact-cover sets)
+_SET_ENTRY_POINTS = {
+    "HittingSetInstance": (
+        lambda s: HittingSetInstance(_UNIVERSE, (_UNIVERSE, s), 1), GadgetError, "", False),
+    "X3CInstance": (lambda s: X3CInstance(_UNIVERSE, (_UNIVERSE, s)), GadgetError, "", True),
+    "decode_hs": (
+        lambda s: decode_hs(f"hs k=1 B={','.join(_UNIVERSE)} S=b1,b2,b3;{','.join(s)}"),
+        GadgetError, "", False),
+    "decode_x3c": (
+        lambda s: decode_x3c(f"x3c B={','.join(_UNIVERSE)} S=b1,b2,b3;{','.join(s)}"),
+        GadgetError, "", True),
+    "parse_problem hs": (lambda s: parse_problem(_set_lines(s) + "k: 1\n"), ParseError, "line 3: ", False),
+    "parse_problem x3c": (lambda s: parse_problem(_set_lines(s)), ParseError, "line 3: ", True),
+    "parse_hs_instance": (
+        lambda s: parse_hs_instance(_set_lines(s) + "k: 1\n"), ParseError, "line 3: ", False),
+    "parse_x3c_instance": (lambda s: parse_x3c_instance(_set_lines(s)), ParseError, "line 3: ", True),
+}
+
+
+@pytest.mark.parametrize("violation, entry", [
+    (violation, entry) for violation in _SET_VIOLATIONS for entry in _SET_ENTRY_POINTS
+    if _SET_ENTRY_POINTS[entry][3] or not violation.startswith("exact-cover")
+])
+def test_every_entry_point_states_a_set_violation_alike(violation, entry):
+    members, message = _SET_VIOLATIONS[violation]
+    build, error, prefix, _ = _SET_ENTRY_POINTS[entry]
+    with pytest.raises(error) as err:
+        build(members)
+    assert str(err.value) == prefix + message
