@@ -134,10 +134,16 @@ DESTRUCTIVE = "destructive"
 
 TIES_PROMOTE = "promote"
 TIES_ELIMINATE = "eliminate"
+_TIE_MODELS = (TIES_PROMOTE, TIES_ELIMINATE)
 
 
 class InvalidInstance(ValueError):
-    """Raised when a control instance is malformed."""
+    """Raised when a control instance is malformed; ``field`` names the field at
+    fault, or is None for a rule of two fields and for a rejected witness."""
+
+    def __init__(self, message: str, field: str | None = None):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)
@@ -162,44 +168,51 @@ class ControlInstance:
     pool: tuple[BallotGroup, ...] = ()
 
     def __post_init__(self) -> None:
+        # the one statement of every instance rule, in the order the file parser
+        # has always reported them, so a file breaking two still names the same one
+        candidates = self.base.candidates
         if self.family not in FAMILIES:
-            raise InvalidInstance(f"unknown control family {self.family!r}")
+            raise InvalidInstance(f"unknown action {self.family!r}", "family")
         if self.goal not in (CONSTRUCTIVE, DESTRUCTIVE):
-            raise InvalidInstance(f"goal must be constructive or destructive, got {self.goal!r}")
+            raise InvalidInstance(f"unknown goal {self.goal!r}", "goal")
         if self.system not in SYSTEMS:
-            raise InvalidInstance(f"unknown system {self.system!r}")
-        spoilers = tuple(self.spoilers)
-        if spoilers and self.family != ADD_CANDIDATES:
-            raise InvalidInstance("spoilers are only meaningful for add-candidates")
-        unknown = set(spoilers) - set(self.base.candidates)
+            raise InvalidInstance(f"unknown system {self.system!r}", "system")
+        if self.distinguished not in candidates:
+            raise InvalidInstance(f"unknown candidate {self.distinguished!r}", "distinguished")
+        if self.tie_model is not None and self.tie_model not in _TIE_MODELS:
+            raise InvalidInstance(f"unknown tie model {self.tie_model!r}", "tie_model")
+        if self.limit is not None and not isinstance(self.limit, int):
+            raise InvalidInstance(f"limit must be an integer, got {self.limit!r}", "limit")
+        unknown = [c for c in self.spoilers if c not in candidates]
         if unknown:
-            raise InvalidInstance(f"spoilers not in the base election: {sorted(unknown)}")
-        # keep spoilers in declaration order, deduplicated
-        spoilers = tuple(c for c in self.base.candidates if c in set(spoilers))
-        object.__setattr__(self, "spoilers", spoilers)
-        if self.distinguished not in self.base.candidates:
-            raise InvalidInstance(f"distinguished candidate {self.distinguished!r} not registered")
+            raise InvalidInstance(f"unknown spoiler candidates {unknown}", "spoilers")
+        if self.pool and self.family != ADD_VOTERS:
+            raise InvalidInstance("pool: is only valid for add-voters", "pool")
+        if self.spoilers and self.family != ADD_CANDIDATES:
+            raise InvalidInstance("spoilers are only meaningful for add-candidates", "spoilers")
+        spoilers = set(self.spoilers)
         if self.distinguished in spoilers:
             raise InvalidInstance("distinguished candidate cannot be a spoiler")
+        # keep spoilers in declaration order, deduplicated
+        object.__setattr__(self, "spoilers", tuple(c for c in candidates if c in spoilers))
         if self.family in _PARTITION_FAMILIES:
-            if self.tie_model not in (TIES_PROMOTE, TIES_ELIMINATE):
-                raise InvalidInstance(f"partition control needs a tie model, got {self.tie_model!r}")
+            if self.tie_model is None:
+                raise InvalidInstance("partition control needs a tie model, got None", "tie_model")
             if self.limit is not None:
-                raise InvalidInstance("partition control takes no limit")
+                raise InvalidInstance("partition control takes no limit", "limit")
         else:
             if self.tie_model is not None:
-                raise InvalidInstance("tie model only applies to partition control")
-            if not isinstance(self.limit, int) or self.limit < 1:
-                raise InvalidInstance(f"{self.family} needs a positive limit, got {self.limit!r}")
+                raise InvalidInstance("tie model only applies to partition control", "tie_model")
+            if self.limit is None or self.limit < 1:
+                raise InvalidInstance(
+                    f"{self.family} needs a positive limit, got {self.limit!r}", "limit")
         if self.family == ADD_VOTERS:
             try:
                 # validates score ranges/widths and canonicalizes the pool
-                pool_election = Election(self.base.k, self.base.candidates, tuple(self.pool))
+                pool_election = Election(self.base.k, candidates, tuple(self.pool))
             except InvalidElection as exc:
-                raise InvalidInstance(f"bad voter pool: {exc}") from exc
+                raise InvalidInstance(f"bad voter pool: {exc}", "pool") from exc
             object.__setattr__(self, "pool", pool_election.ballots)
-        elif self.pool:
-            raise InvalidInstance("a voter pool is only meaningful for add-voters")
 
     @property
     def registered(self) -> tuple[str, ...]:
@@ -232,7 +245,7 @@ class ControlOutcome:
 
 def subelection_survivors(election: Election, system: str, tie_model: str) -> frozenset[str]:
     """Who proceeds from a subelection: all winners (promote) or a lone winner (eliminate)."""
-    if tie_model not in (TIES_PROMOTE, TIES_ELIMINATE):
+    if tie_model not in _TIE_MODELS:
         raise ValueError(f"unknown tie model {tie_model!r}")
     winners = tally(election, system).winners
     if tie_model == TIES_PROMOTE:

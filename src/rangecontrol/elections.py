@@ -219,7 +219,7 @@ def integer_rows(
     A ``ValueError`` refuses an ``L`` whose rows would pass ``MAX_ROW_BITS``.
     """
     if system not in SYSTEMS:
-        raise ValueError(f"unknown voting system {system!r}; expected one of {SYSTEMS}")
+        raise ValueError(f"unknown system {system!r}")
     if system == RV:
         return list(vectors), 1
     bounds = [(min(v), max(v)) if v else (0, 0) for v in vectors]

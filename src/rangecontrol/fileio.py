@@ -20,6 +20,9 @@ An optional control-instance section follows the ballots:
     pool:                  # add-voters only
     2 | 1 0 0
 
+``ControlInstance`` states every instance rule; the parser only names
+the line of the header or pool row that a rejection is about.
+
 Hitting-set and exact-cover instance files:
 
     elements: b1 b2
@@ -39,16 +42,7 @@ import warnings
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .control import (
-    ADD_VOTERS,
-    CONSTRUCTIVE,
-    DESTRUCTIVE,
-    FAMILIES,
-    TIES_ELIMINATE,
-    TIES_PROMOTE,
-    ControlInstance,
-    InvalidInstance,
-)
+from .control import ControlInstance, InvalidInstance
 from .elections import RV, SYSTEMS, BallotGroup, Election, InvalidElection, ballot_error
 
 if TYPE_CHECKING:
@@ -187,14 +181,16 @@ def _parse_ballot_line(line: str, lineno: int) -> tuple[int, BallotGroup]:
     return lineno, BallotGroup(scores, mult)
 
 
-def _at_row(exc: ValueError, k: int, width: int, rows: list[tuple[int, BallotGroup]]) -> ParseError:
+def _at_row(
+    exc: ValueError, k: int, width: int, rows: list[tuple[int, BallotGroup]], line: int | None = None
+) -> ParseError:
     """``exc`` as a ParseError, at the line of the first row breaking the ballot
-    rule when that row's :func:`ballot_error` is what ``exc`` reports."""
+    rule when that row's :func:`ballot_error` is what ``exc`` reports, else at ``line``."""
     for lineno, group in rows:
         error = ballot_error(group.scores, group.multiplicity, k, width)
         if error is not None:
-            return ParseError(error, lineno) if str(exc).endswith(error) else ParseError(str(exc))
-    return ParseError(str(exc))
+            return ParseError(error, lineno) if str(exc).endswith(error) else ParseError(str(exc), line)
+    return ParseError(str(exc), line)
 
 
 def _build_instance(
@@ -210,50 +206,36 @@ def _build_instance(
                 f"instance fields {sorted(leftovers)} need an action: header"
             )
         return None
-    lineno, family = fields.pop("action")
-    if family not in FAMILIES:
-        raise ParseError(f"unknown action {family!r}", lineno)
-    goal_field = fields.pop("goal", None)
-    if goal_field is None:
-        raise ParseError("instance needs a goal: header")
-    if goal_field[1] not in (CONSTRUCTIVE, DESTRUCTIVE):
-        raise ParseError(f"unknown goal {goal_field[1]!r}", goal_field[0])
-    dist_field = fields.pop("distinguished", None)
-    if dist_field is None:
-        raise ParseError("instance needs a distinguished: header")
-    if dist_field[1] not in election.candidates:
-        raise ParseError(f"unknown candidate {dist_field[1]!r}", dist_field[0])
-    ties_field = fields.pop("ties", None)
-    tie_model = None
-    if ties_field is not None:
-        if ties_field[1] not in (TIES_PROMOTE, TIES_ELIMINATE):
-            raise ParseError(f"unknown tie model {ties_field[1]!r}", ties_field[0])
-        tie_model = ties_field[1]
-    limit_field = fields.pop("limit", None)
-    limit = _parse_int(limit_field[1], "limit", limit_field[0]) if limit_field else None
-    spoiler_field = fields.pop("spoilers", None)
-    spoilers: tuple[str, ...] = ()
-    if spoiler_field is not None:
-        spoilers = tuple(spoiler_field[1].split())
-        unknown = [cid for cid in spoilers if cid not in election.candidates]
-        if unknown:
-            raise ParseError(f"unknown spoiler candidates {unknown}", spoiler_field[0])
-    if pool_rows and family != ADD_VOTERS:
-        raise ParseError("pool: is only valid for add-voters", pool_rows[0][0])
+    value = {key: text for key, (_, text) in fields.items()}
+    limit = value.get("limit")
+    try:
+        limit = None if limit is None else int(limit)
+    except ValueError:
+        pass  # left as text, for ControlInstance to reject in its rule order
     try:
         return ControlInstance(
             base=election,
-            family=family,
-            goal=goal_field[1],
+            family=value["action"],
+            goal=value.get("goal"),
             system=system or RV,
-            distinguished=dist_field[1],
-            tie_model=tie_model,
+            distinguished=value.get("distinguished"),
+            tie_model=value.get("ties"),
             limit=limit,
-            spoilers=spoilers,
+            spoilers=tuple(value.get("spoilers", "").split()),
             pool=tuple(g for _, g in pool_rows),
         )
     except InvalidInstance as exc:
-        raise _at_row(exc, election.k, len(election.candidates), pool_rows) from exc
+        if exc.field == "pool":
+            raise _at_row(exc, election.k, len(election.candidates), pool_rows, pool_rows[0][0]) from exc
+        header = {"family": "action", "tie_model": "ties"}.get(exc.field, exc.field)
+        if header not in fields:  # passed on as None
+            if header in ("goal", "distinguished"):
+                raise ParseError(f"instance needs a {header}: header") from exc
+            raise ParseError(str(exc)) from exc
+        lineno, text = fields[header]
+        if header == "limit":
+            _parse_int(text, "limit", lineno)  # a non-integer: say why int() refused it
+        raise ParseError(str(exc), lineno) from exc
 
 
 def serialize_election(

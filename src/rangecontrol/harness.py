@@ -194,8 +194,6 @@ def _rng(*parts) -> random.Random:
 
 def gen_random_hs(n: int, m: int, k: int, seed: int) -> HittingSetInstance:
     """Uniformly sampled family of m nonempty subsets of an n-universe."""
-    if not 1 <= k <= n:
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     rng = _rng("hs", seed)
     universe = tuple(f"b{i + 1}" for i in range(n))
     sets = []
@@ -214,8 +212,6 @@ def gen_random_x3c(
     is planted, so both answers occur; unplanted instances may still
     contain a cover by accident.
     """
-    if set_count < k:
-        raise ValueError(f"need at least k={k} sets, got {set_count}")
     rng = _rng("x3c", seed)
     elements = tuple(f"b{i + 1}" for i in range(3 * k))
     if planted is None:
@@ -227,12 +223,13 @@ def gen_random_x3c(
         while len(sets) < set_count:
             sets.append(tuple(rng.sample(elements, 3)))
         rng.shuffle(sets)
-        return X3CInstance(elements, tuple(tuple(s) for s in sets))
+        # fewer than k sets are cut from the planted cover, and X3CInstance refuses them
+        return X3CInstance(elements, tuple(sets[:set_count]))
     for _ in range(1000):
         sets = [tuple(rng.sample(elements, 3)) for _ in range(set_count)]
         if set(itertools.chain.from_iterable(sets)) == set(elements):
-            return X3CInstance(elements, tuple(sets))
-    raise ValueError(f"could not cover {3 * k} elements with {set_count} random sets")
+            break
+    return X3CInstance(elements, tuple(sets))  # refuses the last draw if none covered
 
 
 def gen_random_election(
@@ -278,7 +275,7 @@ def gen_random_control_instance(seed: int, max_actions: int = 30000) -> ControlI
         distinguished = rng.choice(cands)
         kwargs = {}
         if family in ctl._PARTITION_FAMILIES:
-            kwargs["tie_model"] = rng.choice((ctl.TIES_PROMOTE, ctl.TIES_ELIMINATE))
+            kwargs["tie_model"] = rng.choice(ctl._TIE_MODELS)
         else:
             kwargs["limit"] = rng.randint(1, 2)
         if family == ctl.ADD_CANDIDATES:

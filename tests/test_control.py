@@ -352,12 +352,12 @@ class TestInstanceValidation:
                             system=RV, distinguished="w", limit=1, spoilers=("a",))
 
     @pytest.mark.parametrize("changes, message", [
-        ({"goal": "neutral"}, "goal must be constructive or destructive, got 'neutral'"),
+        ({"goal": "neutral"}, "unknown goal 'neutral'"),
         ({"system": "approval"}, "unknown system 'approval'"),
-        ({"family": ADD_CANDIDATES, "spoilers": ("zz",)}, "spoilers not in the base election"),
+        ({"family": ADD_CANDIDATES, "spoilers": ("zz",)}, "unknown spoiler candidates"),
         ({"family": PARTITION_VOTERS, "tie_model": TIES_PROMOTE}, "partition control takes no limit"),
         ({"tie_model": TIES_PROMOTE}, "tie model only applies to partition control"),
-        ({"pool": (BallotGroup((0, 1), 1),)}, "a voter pool is only meaningful for add-voters"),
+        ({"pool": (BallotGroup((0, 1), 1),)}, "pool: is only valid for add-voters"),
     ], ids=["goal", "system", "unknown-spoilers", "partition-limit", "ties", "pool"])
     def test_rejection(self, changes, message):
         fields = dict(base=self.BASE, family=DELETE_VOTERS, goal=CONSTRUCTIVE, system=RV,

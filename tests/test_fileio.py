@@ -1,12 +1,18 @@
 """Election/instance file parsing, serialization, canonicalization."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
+from rangecontrol import fileio
 from rangecontrol.control import (
     ADD_CANDIDATES,
     ADD_VOTERS,
     CONSTRUCTIVE,
+    DELETE_VOTERS,
     PARTITION_VOTERS,
+    TIES_PROMOTE,
     ControlInstance,
     InvalidInstance,
 )
@@ -377,3 +383,92 @@ def test_every_entry_point_states_a_set_violation_alike(violation, entry):
     with pytest.raises(error) as err:
         build(members)
     assert str(err.value) == prefix + message
+
+
+# each breach of an instance rule, as changes to a valid delete-voters instance
+# over candidates a b c at range 1: (changes, message, the field at fault)
+_INSTANCE_VIOLATIONS = {
+    "unknown family": ({"family": "bribe"}, "unknown action 'bribe'", "family"),
+    "unknown goal": ({"goal": "win"}, "unknown goal 'win'", "goal"),
+    "unknown system": ({"system": "irv"}, "unknown system 'irv'", "system"),
+    "unknown distinguished": ({"distinguished": "zz"}, "unknown candidate 'zz'", "distinguished"),
+    "bad tie value": (
+        {"family": PARTITION_VOTERS, "tie_model": "coin", "limit": None},
+        "unknown tie model 'coin'", "tie_model"),
+    "partition without ties": (
+        {"family": PARTITION_VOTERS, "limit": None},
+        "partition control needs a tie model, got None", "tie_model"),
+    "ties on a non-partition family": (
+        {"tie_model": TIES_PROMOTE}, "tie model only applies to partition control", "tie_model"),
+    "non-integer limit": ({"limit": "x"}, "limit must be an integer, got 'x'", "limit"),
+    "non-positive limit": ({"limit": 0}, "delete-voters needs a positive limit, got 0", "limit"),
+    "limit on a partition family": (
+        {"family": PARTITION_VOTERS, "tie_model": TIES_PROMOTE},
+        "partition control takes no limit", "limit"),
+    "unknown spoilers": (
+        {"family": ADD_CANDIDATES, "spoilers": ("z", "c")}, "unknown spoiler candidates ['z']",
+        "spoilers"),
+    "spoilers on another family": (
+        {"spoilers": ("c",)}, "spoilers are only meaningful for add-candidates", "spoilers"),
+    "distinguished spoiler": (
+        {"family": ADD_CANDIDATES, "spoilers": ("a",)},
+        "distinguished candidate cannot be a spoiler", None),
+    "pool on another family": (
+        {"pool": (BallotGroup((0, 1, 0), 1),)}, "pool: is only valid for add-voters", "pool"),
+    "bad pool row": (
+        {"family": ADD_VOTERS, "pool": (BallotGroup((2, 0, 0), 1),)},
+        "bad voter pool: score 2 outside [0, 1]", "pool"),
+}
+
+# the header of each field whose header has another name
+_FIELD_HEADERS = {"family": "action", "tie_model": "ties"}
+
+
+def _instance_lines(family, goal, system, distinguished, tie_model, limit, spoilers, pool):
+    lines = ["range: 1", f"system: {system}", "candidates: a b c", "ballots:", "1 | 1 0 0",
+             f"action: {family}", f"goal: {goal}"]
+    lines += [f"ties: {tie_model}"] if tie_model is not None else []
+    lines += [f"distinguished: {distinguished}"]
+    lines += [f"limit: {limit}"] if limit is not None else []
+    lines += [f"spoilers: {' '.join(spoilers)}"] if spoilers else []
+    lines += ["pool:", *(_row(g.scores, g.multiplicity) for g in pool)] if pool else []
+    return lines
+
+
+def _fault_line(lines, field):
+    """The line a file names for a breach of ``field``'s rule: its header's, or
+    the first pool row's; none for a rule of two fields or an absent header."""
+    if field == "pool":
+        return lines.index("pool:") + 2
+    header = f"{_FIELD_HEADERS.get(field, field)}:"
+    return next((i for i, line in enumerate(lines, 1) if line.startswith(header)), None)
+
+
+@pytest.mark.parametrize("violation", _INSTANCE_VIOLATIONS)
+def test_every_entry_point_states_an_instance_violation_alike(violation):
+    changes, message, field = _INSTANCE_VIOLATIONS[violation]
+    fields = {"family": DELETE_VOTERS, "goal": CONSTRUCTIVE, "system": RV, "distinguished": "a",
+              "tie_model": None, "limit": 1, "spoilers": (), "pool": (), **changes}
+    with pytest.raises(InvalidInstance) as err:
+        ControlInstance(base=Election(1, ("a", "b", "c"), (BallotGroup((1, 0, 0), 1),)), **fields)
+    assert (str(err.value), err.value.field) == (message, field)
+
+    lines = _instance_lines(**fields)
+    with pytest.raises(ParseError) as err:
+        parse_election("\n".join(lines) + "\n")
+    # the parser names the row, not the pool, for a row breaking the ballot rule
+    line = _fault_line(lines, field)
+    prefix = f"line {line}: " if line is not None else ""
+    assert str(err.value) == prefix + message.removeprefix("bad voter pool: ")
+
+
+def test_fileio_takes_no_instance_rule_from_control():
+    # ControlInstance states every instance rule; a family, goal or tie-model
+    # constant imported into the parser would start a second statement of one
+    imported = set()
+    for node in ast.walk(ast.parse(Path(fileio.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("control", "rangecontrol.control"):
+            imported |= {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):  # the module itself
+            imported |= {"control" for alias in node.names if alias.name.split(".")[-1] == "control"}
+    assert imported == {"ControlInstance", "InvalidInstance"}

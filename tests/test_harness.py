@@ -14,7 +14,7 @@ import pytest
 
 from rangecontrol import harness
 from rangecontrol.elections import NRV, RV, Election
-from rangecontrol.gadgets import HittingSetInstance, ScoreIdentity, X3CInstance
+from rangecontrol.gadgets import GadgetError, HittingSetInstance, ScoreIdentity, X3CInstance
 from rangecontrol.harness import (
     AuditSpec,
     audit_gadget,
@@ -65,6 +65,22 @@ class TestGenerators:
     def test_x3c_single_planted_is_whole_universe(self):
         inst = gen_random_x3c(1, 1, seed=0, planted=True)
         assert inst.sets == (inst.elements,)
+
+    @pytest.mark.parametrize("generate, build", [
+        (lambda: gen_random_hs(2, 1, 3, seed=0), lambda: HittingSetInstance(("b1", "b2"), (("b1",),), 3)),
+        (lambda: gen_random_hs(2, 1, 0, seed=0), lambda: HittingSetInstance(("b1", "b2"), (("b1",),), 0)),
+        (lambda: gen_random_x3c(2, 1, seed=0, planted=True),
+         lambda: X3CInstance(("b1", "b2", "b3", "b4", "b5", "b6"), (("b1", "b2", "b3"),))),
+        (lambda: gen_random_x3c(2, 1, seed=0, planted=False),
+         lambda: X3CInstance(("b1", "b2", "b3", "b4", "b5", "b6"), (("b1", "b2", "b3"),))),
+    ], ids=["hs k above n", "hs k of 0", "x3c planted, fewer sets than k", "x3c unplanted, fewer sets than k"])
+    def test_a_bad_size_raises_the_constructors_message(self, generate, build):
+        # the generators state no size rule of their own
+        with pytest.raises(GadgetError) as expected:
+            build()
+        with pytest.raises(GadgetError) as got:
+            generate()
+        assert str(got.value) == str(expected.value)
 
     def test_x3c_deterministic(self):
         assert gen_random_x3c(2, 3, seed=7) == gen_random_x3c(2, 3, seed=7)
