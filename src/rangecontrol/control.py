@@ -877,9 +877,11 @@ def search_space_floor(instance: ControlInstance) -> int | None:
 def replay_witness(instance: ControlInstance, witness: tuple) -> bool:
     """Re-evaluate a witnessed action with plain project/tally calls.
 
-    Independent of solver-internal caching and integer scaling; used to
-    validate that yes-outcomes really achieve their goal.  A witness
-    outside the instance's action space is an :class:`InvalidInstance`.
+    Independent of the solvers' ``_subset_winners``, their pruning, the
+    dominance short-cuts and the caches; it still tallies through
+    :func:`integer_rows`, the rows the voter-vector searches use too.
+    Used to validate that yes-outcomes really achieve their goal.  A
+    witness outside the instance's action space is an :class:`InvalidInstance`.
     """
     _check_action(instance, witness)
     base = instance.base

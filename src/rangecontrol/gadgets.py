@@ -488,10 +488,9 @@ def x3c_cover_side(
 # ---------------------------------------------------------------------------
 # constructive partition of candidates (from candidate deletion)
 
-def gadget_deletion_to_candidate_partition(
-    source: Election, w: str, limit: int
-) -> GadgetOutput:
-    """2r-range NRV election embedding a constructive deletion problem.
+def gadget_deletion_to_candidate_partition(instance: ControlInstance | None) -> GadgetOutput:
+    """2r-range NRV election embedding a constructive deletion problem,
+    from a delete-candidates ``instance`` whose system is ignored.
 
     Two auxiliary candidates are appended (ids freshened against the
     source).  Original ballots are scaled by 2 and extended with zeros
@@ -499,10 +498,9 @@ def gadget_deletion_to_candidate_partition(
     deletion limit; the (m-limit-1)n support group is clamped at zero
     multiplicity when the limit reaches m-1.
     """
-    if w not in source.candidates:
-        raise GadgetError(f"distinguished candidate {w!r} not in the source election")
-    if not isinstance(limit, int) or limit < 1:
-        raise GadgetError(f"the deletion limit must be a positive integer, got {limit!r}")
+    if instance is None or (instance.family, instance.goal) != (DELETE_CANDIDATES, CONSTRUCTIVE):
+        raise GadgetError("this gadget needs a constructive delete-candidates instance section")
+    source, w, limit = instance.base, instance.distinguished, instance.limit
     r = source.k
     m = len(source.candidates)
     n = source.total_voters

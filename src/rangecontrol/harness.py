@@ -26,7 +26,7 @@ import itertools
 import json
 import operator
 import random
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -104,8 +104,8 @@ class AuditSpec:
     deletion-to-candidate-partition gadget is audited on random sources
     only: range-2 elections of 2-4 candidates and at most 4 ballot groups
     of at most 3 voters, a distinguished candidate, and a deletion limit
-    of 1 or 2, below the candidate count.  ``checks`` picks from the
-    gadget's ``DEFAULT_CHECKS`` entry and defaults to all of it.
+    of 1 or 2, below the candidate count.  ``checks`` is not a setting:
+    it is the gadget's own ``DEFAULT_CHECKS`` entry.
     """
 
     gadget: str
@@ -117,7 +117,7 @@ class AuditSpec:
     trials: int = 0
     seed: int = 0
     budget: int | None = None
-    checks: tuple[str, ...] = ()
+    checks: tuple[str, ...] = field(init=False)
     isomorphism_free: bool = True
 
     def __post_init__(self) -> None:
@@ -125,14 +125,7 @@ class AuditSpec:
             raise ValueError(f"unknown gadget {self.gadget!r}")
         if self.mode not in ("exhaustive", "random"):
             raise ValueError(f"unknown audit mode {self.mode!r}")
-        if not self.checks:
-            object.__setattr__(self, "checks", DEFAULT_CHECKS[self.gadget])
-        unsupported = [c for c in self.checks if c not in DEFAULT_CHECKS[self.gadget]]
-        if unsupported:
-            raise ValueError(
-                f"{self.gadget} does not support the check(s) {', '.join(unsupported)}; "
-                f"choose from {', '.join(DEFAULT_CHECKS[self.gadget])}"
-            )
+        object.__setattr__(self, "checks", DEFAULT_CHECKS[self.gadget])
         if self.budget is not None and self.budget < 0:
             raise ValueError(f"budget must be non-negative, got {self.budget}")
         if self.trials < 0:
@@ -239,17 +232,15 @@ def gen_random_election(
     max_k: int = 4,
     max_multiplicity: int = 4,
     k: int | None = None,
-    zero_one: bool = False,
 ) -> Election:
     """Small random election; deterministic per seed."""
     rng = _rng("election", seed)
     n_cands = rng.randint(1, max_candidates)
     cands = tuple(f"c{i + 1}" for i in range(n_cands))
-    rng_k = 1 if zero_one else (k if k is not None else rng.randint(1, max_k))
+    rng_k = k if k is not None else rng.randint(1, max_k)
     rows = []
     for _ in range(rng.randint(0, max_groups)):
-        hi = 1 if zero_one else rng_k
-        scores = tuple(rng.randint(0, hi) for _ in cands)
+        scores = tuple(rng.randint(0, rng_k) for _ in cands)
         rows.append((rng.randint(1, max_multiplicity), scores))
     return Election.from_rows(rng_k, cands, rows)
 
@@ -536,21 +527,30 @@ def decode_x3c(text: str) -> X3CInstance:
     return X3CInstance(*_decode_fields(text, "x3c", B=_names, S=_name_sets))
 
 
-def encode_deletion_source(source: Election, w: str, limit: int) -> str:
+def encode_deletion_source(instance: ControlInstance) -> str:
+    source = instance.base
     ballots = ";".join(
         f"{g.multiplicity}|{'.'.join(str(s) for s in g.scores)}" for g in source.ballots
     )
     return (
         f"del-src k={source.k} cands={','.join(source.candidates)} "
-        f"ballots={ballots} w={w} limit={limit}"
+        f"ballots={ballots} w={instance.distinguished} limit={instance.limit}"
     )
 
 
-def decode_deletion_source(text: str) -> tuple[Election, str, int]:
+def decode_deletion_source(text: str) -> ControlInstance:
     k, cands, rows, w, limit = _decode_fields(
         text, "del-src", k=int, cands=_names, ballots=_ballot_rows, w=str, limit=int
     )
-    return Election.from_rows(k, cands, rows), w, limit
+    return _deletion_source(Election.from_rows(k, cands, rows), w, limit)
+
+
+def _deletion_source(election: Election, w: str, limit: int) -> ControlInstance:
+    """The deletion gadget's audited source: constructive NRV deletion of at most ``limit``."""
+    return ControlInstance(
+        base=election, family=ctl.DELETE_CANDIDATES, goal=ctl.CONSTRUCTIVE,
+        system=NRV, distinguished=w, limit=limit,
+    )
 
 
 def _names(value: str) -> tuple[str, ...]:
@@ -595,29 +595,18 @@ _DELETION = "deletion-to-candidate-partition"
 
 
 def build_gadget(gadget_name: str, source) -> GadgetOutput:
-    """The named gadget on ``source``: an HS/X3C instance or an (election, w, limit) triple.
+    """The named gadget on ``source``: an HS/X3C instance or a deletion ``ControlInstance``.
 
     The builder is looked up as a module global at call time, so a rebound
     ``gadget_*`` name is seen by every build.
     """
-    builder = globals()["gadget_" + gadget_name.replace("-", "_")]
-    return builder(*source) if gadget_name == _DELETION else builder(source)
+    return globals()["gadget_" + gadget_name.replace("-", "_")](source)
 
 
 def read_source(gadget_name: str, text: str):
     """The source ``build_gadget`` takes for the named gadget, read from an instance file."""
     if gadget_name == _DELETION:
-        parsed = fileio.parse_election(text)
-        instance = parsed.instance
-        if (
-            instance is None
-            or instance.family != ctl.DELETE_CANDIDATES
-            or instance.goal != ctl.CONSTRUCTIVE
-        ):
-            raise fileio.ParseError(
-                "this gadget needs a constructive delete-candidates instance section"
-            )
-        return parsed.election, instance.distinguished, instance.limit
+        return fileio.parse_election(text).instance
     if gadget_name == _X3C:
         return fileio.parse_x3c_instance(text)
     return fileio.parse_hs_instance(text)
@@ -633,7 +622,7 @@ def _build_or_none(gadget_name: str, source) -> GadgetOutput | None:
 
 def _encode(gadget_name: str, source) -> str:
     if gadget_name == _DELETION:
-        return encode_deletion_source(*source)
+        return encode_deletion_source(source)
     if gadget_name == _X3C:
         return encode_x3c(source)
     return encode_hs(source)
@@ -660,11 +649,7 @@ def _reference(gadget_name: str, source, budget: int | None) -> tuple[bool | Non
     deletion source is decided by the exhaustive solver under ``budget``.
     """
     if gadget_name == _DELETION:
-        election, w, limit = source
-        outcome = solve(ControlInstance(
-            base=election, family=ctl.DELETE_CANDIDATES, goal=ctl.CONSTRUCTIVE,
-            system=NRV, distinguished=w, limit=limit,
-        ), budget=budget)
+        outcome = solve(source, budget=budget)
         return outcome.decision, outcome.witness, outcome.explored
     oracle = solve_x3c(source) if gadget_name == _X3C else solve_hitting_set(source)
     return oracle.decision, oracle.witness, 0
@@ -777,14 +762,9 @@ def _record(
     )
 
 
-def replay_instance(
-    gadget_name: str,
-    encoding: str,
-    budget: int | None = None,
-    checks: Sequence[str] | None = None,
-) -> InstanceRecord:
+def replay_instance(gadget_name: str, encoding: str, budget: int | None = None) -> InstanceRecord:
     """Re-run one audited instance from its report encoding."""
-    spec = AuditSpec(gadget=gadget_name, budget=budget, checks=tuple(checks or ()))
+    spec = AuditSpec(gadget=gadget_name, budget=budget)
     source = _decode(gadget_name, encoding)
     return _record(0, encoding, source, build_gadget(gadget_name, source), spec)
 
@@ -834,8 +814,10 @@ def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
                     rng.randrange(1 << 30), max_candidates=most, max_groups=4, k=2,
                     max_multiplicity=3,
                 )
-                w = rng.choice(election.candidates)
-                source = election, w, rng.randint(1, min(2, len(election.candidates) - 1))
+                source = _deletion_source(
+                    election, rng.choice(election.candidates),
+                    rng.randint(1, min(2, len(election.candidates) - 1)),
+                )
             else:
                 n = rng.randint(*spec.n)
                 m = rng.randint(*spec.m)
@@ -863,15 +845,15 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
 def _spec_header(spec: AuditSpec) -> list[str]:
     """One ``key: value`` line per ``AuditSpec`` field, in declaration order."""
     lines = []
-    for field in fields(AuditSpec):
-        value = getattr(spec, field.name)
-        if field.name == "checks":
+    for spec_field in fields(AuditSpec):
+        value = getattr(spec, spec_field.name)
+        if spec_field.name == "checks":
             value = ",".join(value)
         elif isinstance(value, tuple):
             value = f"{value[0]}..{value[1]}"
         elif value is None or isinstance(value, bool):
             value = str(value).lower()
-        lines.append(f"{field.name.replace('_', '-')}: {value}")
+        lines.append(f"{spec_field.name.replace('_', '-')}: {value}")
     return lines
 
 

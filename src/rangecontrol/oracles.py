@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import Iterator
 
 from .gadgets import HittingSetInstance, X3CInstance
 
@@ -45,7 +46,7 @@ def solve_hitting_set(hs: HittingSetInstance) -> OracleResult:
     n = hs.n
     best: tuple[int, ...] | None = None
     for size in range(n + 1):
-        best = _hitting_set_dfs(n, 0, masks, [], size)
+        best = _hitting_set_dfs(n, masks, size)
         if best is not None:
             break
     assert best is not None  # B itself always hits every (nonempty) set
@@ -64,27 +65,31 @@ def _disjoint_count(unhit: list[int]) -> int:
     return count
 
 
-def _hitting_set_dfs(n: int, start: int, unhit: list[int], chosen: list[int], budget: int) -> tuple | None:
-    """The first hitting set of ``unhit`` extending ``chosen`` by at most ``budget``
-    elements of index ``start`` or more, taken in ascending index order."""
-    if not unhit:
-        return tuple(chosen)
-    if budget == 0 or _disjoint_count(unhit) > budget:
-        return None
-    remaining = ((1 << n) - 1) >> start << start
-    for sm in unhit:
-        if not sm & remaining:
-            return None
-    for i in range(start, n):
-        bit = 1 << i
-        if not any(sm & bit for sm in unhit):
-            continue
+def _hitting_set_dfs(n: int, masks: list[int], budget: int) -> tuple | None:
+    """The first hitting set of ``masks`` of at most ``budget`` elements, depth first
+    over ascending indices.  ``frames`` holds one (unhit sets, untried indices) pair
+    per node of the branch ``chosen``, so depth grows the heap, not the call stack."""
+    chosen: list[int] = []
+    frames: list[tuple[list[int], Iterator[int]]] = []
+    unhit, start = masks, 0
+    while True:
+        if not unhit:
+            return tuple(chosen)
+        left = budget - len(chosen)
+        # an unhit set with no element at ``start`` or above can no longer be hit
+        viable = left and _disjoint_count(unhit) <= left and all(sm >> start for sm in unhit)
+        frames.append((unhit, iter(range(start, n) if viable else ())))
+        while True:  # the next branch: the deepest node's next index that hits some unhit set
+            parent, untried = frames[-1]
+            i = next((j for j in untried if any(sm >> j & 1 for sm in parent)), None)
+            if i is not None:
+                break
+            frames.pop()
+            if not frames:
+                return None
+            chosen.pop()
         chosen.append(i)
-        found = _hitting_set_dfs(n, i + 1, [sm for sm in unhit if not sm & bit], chosen, budget - 1)
-        if found is not None:
-            return found
-        chosen.pop()
-    return None
+        unhit, start = [sm for sm in parent if not sm >> i & 1], i + 1
 
 
 def solve_x3c(x3c: X3CInstance) -> OracleResult:

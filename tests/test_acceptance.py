@@ -99,7 +99,7 @@ def test_c03_scaling_invariance():
 def test_c04_one_range_equivalence():
     failures = 0
     for seed in range(500):
-        e = gen_random_election(seed, max_candidates=5, max_groups=6, zero_one=True)
+        e = gen_random_election(seed, max_candidates=5, max_groups=6, k=1)
         approval_totals = {c: 0 for c in e.candidates}
         for g in e.ballots:
             for c, s in zip(e.candidates, g.scores):
@@ -189,8 +189,7 @@ def test_c07_x3c_voter_partition_audit():
         for rec in rep.records:
             # certify agreement or a replayable counterexample
             if rec.status == "disagree":
-                again = replay_instance(rep.spec.gadget, rec.encoding,
-                                        rep.spec.budget, rep.spec.checks)
+                again = replay_instance(rep.spec.gadget, rec.encoding, rep.spec.budget)
                 assert (again.oracle, again.solver, again.status) == (
                     rec.oracle, rec.solver, rec.status
                 )
@@ -227,8 +226,7 @@ def test_c09_deletion_to_partition_audit():
     assert not rep.budget_exceeded
     for idx in rep.counterexamples:
         rec = rep.records[idx]
-        again = replay_instance(rep.spec.gadget, rec.encoding, rep.spec.budget,
-                                rep.spec.checks)
+        again = replay_instance(rep.spec.gadget, rec.encoding, rep.spec.budget)
         assert (again.oracle, again.solver, again.status) == (
             rec.oracle, rec.solver, rec.status
         )
@@ -246,7 +244,7 @@ def test_c10_constructive_deletion_audit():
     assert "hs k=1 B=b1,b2 S=b1;b2" in encodings
     for idx in rep.counterexamples:
         rec = rep.records[idx]
-        again = replay_instance(spec.gadget, rec.encoding, spec.budget, spec.checks)
+        again = replay_instance(spec.gadget, rec.encoding, spec.budget)
         assert (again.oracle, again.solver, again.status) == (
             rec.oracle, rec.solver, rec.status
         )

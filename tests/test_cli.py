@@ -379,6 +379,16 @@ class TestOracle:
         code, _, err = cli("oracle", str(path))
         assert code == 0 and "warning" in err
 
+    def test_a_hitting_set_deeper_than_the_recursion_limit(self, tmp_path):
+        # the search picks one element per level: 1,100 singletons need 1,100 levels
+        names = [f"b{i + 1}" for i in range(1100)]
+        path = tmp_path / "hs.txt"
+        path.write_text(f"elements: {' '.join(names)}\n"
+                        + "".join(f"set: {b}\n" for b in names) + "k: 1100\n")
+        code, out, err = cli("oracle", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == ["YES", f"witness: {' '.join(names)}", "optimum: 1100"]
+
 
 class TestGadget:
     def test_writes_solvable_instance_file(self, tmp_path):

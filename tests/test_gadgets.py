@@ -6,21 +6,26 @@ and strict re-normalization disagree, the frozen values follow the
 arithmetic and the audit records the deviation.
 """
 
+import inspect
+
 import pytest
 
+from rangecontrol import gadgets
 from rangecontrol.control import (
     ADD_CANDIDATES,
+    ADD_VOTERS,
     CONSTRUCTIVE,
     DELETE_CANDIDATES,
     DESTRUCTIVE,
     PARTITION_CANDIDATES,
     RUNOFF_PARTITION_CANDIDATES,
     ControlInstance,
+    InvalidInstance,
     replay_witness,
     scale_instance,
     solve,
 )
-from rangecontrol.elections import NRV, Election, project, tally
+from rangecontrol.elections import NRV, RV, Election, project, tally
 from rangecontrol.gadgets import (
     GadgetError,
     HittingSetInstance,
@@ -39,6 +44,7 @@ from rangecontrol.gadgets import (
     x3c_cover_side,
 )
 from rangecontrol.harness import (
+    GADGET_NAMES,
     AuditSpec,
     audit_gadget,
     check_score_identities,
@@ -48,6 +54,14 @@ from rangecontrol.harness import (
 from rangecontrol.oracles import solve_hitting_set, solve_x3c
 
 from helpers import brute_tally
+
+
+def test_every_builder_takes_one_source():
+    # harness.build_gadget passes each builder its source as one value
+    builders = {name: fn for name, fn in vars(gadgets).items() if name.startswith("gadget_")}
+    assert len(builders) == len(GADGET_NAMES)
+    for name, builder in builders.items():
+        assert len(inspect.signature(builder).parameters) == 1, name
 
 
 def hs(universe, sets, k):
@@ -269,10 +283,15 @@ class TestX3cVoterPartitionTe:
         assert all(r.status == "disagree" for r in no_records)
 
 
+def deletion(source, w, limit, family=DELETE_CANDIDATES, goal=CONSTRUCTIVE, system=NRV):
+    return ControlInstance(base=source, family=family, goal=goal, system=system,
+                           distinguished=w, limit=limit)
+
+
 class TestDeletionToCandidatePartition:
     def test_single_candidate_source_trivially_yes(self):
         source = Election.from_rows(2, ("w",), [(2, (2,))])
-        g = gadget_deletion_to_candidate_partition(source, "w", 1)
+        g = gadget_deletion_to_candidate_partition(deletion(source, "w", 1))
         for inst in g.instances:
             assert solve(inst).decision is True
 
@@ -281,7 +300,7 @@ class TestDeletionToCandidatePartition:
         # a 1-voter source; the tie eliminates both auxiliaries under TE
         # (leaving a route for w) but promotes them under TP (blocking w)
         source = Election.from_rows(2, ("w",), [(1, (2,))])
-        g = gadget_deletion_to_candidate_partition(source, "w", 1)
+        g = gadget_deletion_to_candidate_partition(deletion(source, "w", 1))
         answers = {(i.family, i.tie_model): solve(i).decision for i in g.instances}
         assert answers[(PARTITION_CANDIDATES, "eliminate")] is True
         assert answers[(PARTITION_CANDIDATES, "promote")] is False
@@ -290,7 +309,7 @@ class TestDeletionToCandidatePartition:
 
     def test_auxiliary_b_identity_and_victory(self):
         source = Election.from_rows(2, ("w", "x", "y"), [(2, (1, 2, 0)), (1, (2, 0, 0))])
-        g = gadget_deletion_to_candidate_partition(source, "w", 1)
+        g = gadget_deletion_to_candidate_partition(deletion(source, "w", 1))
         results = {r.label: r for r in check_score_identities(g)}
         n, m, r_, k = 3, 3, 2, 1
         expected = 6 * n * r_ + 6 * n * m * r_ + 2 * (m - k - 1) * n * r_ + 4 * r_
@@ -303,34 +322,48 @@ class TestDeletionToCandidatePartition:
         # stated a-vs-b margin 2nr(k-l) - 2r goes negative, so the
         # partition answer drops to no while the deletion answer is yes
         source = Election.from_rows(2, ("w", "x", "y"), [(2, (1, 2, 0)), (1, (2, 0, 0))])
-        deletion = ControlInstance(base=source, family=DELETE_CANDIDATES,
-                                   goal=CONSTRUCTIVE, system=NRV,
-                                   distinguished="w", limit=1)
-        assert solve(deletion).decision is True
-        g = gadget_deletion_to_candidate_partition(source, "w", 1)
+        source_instance = deletion(source, "w", 1)
+        assert solve(source_instance).decision is True
+        g = gadget_deletion_to_candidate_partition(source_instance)
         answers = {(i.family, i.tie_model): solve(i).decision for i in g.instances}
         assert answers[(PARTITION_CANDIDATES, "promote")] is False
 
     def test_agrees_when_winning_needs_no_deletion(self):
         source = Election.from_rows(2, ("w", "x"), [(3, (2, 0)), (1, (0, 2))])
-        deletion = ControlInstance(base=source, family=DELETE_CANDIDATES,
-                                   goal=CONSTRUCTIVE, system=NRV,
-                                   distinguished="w", limit=1)
-        assert solve(deletion).decision is True
-        g = gadget_deletion_to_candidate_partition(source, "w", 1)
+        source_instance = deletion(source, "w", 1)
+        assert solve(source_instance).decision is True
+        g = gadget_deletion_to_candidate_partition(source_instance)
         for inst in g.instances:
             assert solve(inst).decision is True
 
     def test_aux_names_freshened(self):
         source = Election.from_rows(1, ("a", "b"), [(1, (1, 0))])
-        g = gadget_deletion_to_candidate_partition(source, "a", 1)
+        g = gadget_deletion_to_candidate_partition(deletion(source, "a", 1))
         assert len(g.election.candidates) == 4
         assert len(set(g.election.candidates)) == 4
 
     def test_missing_distinguished(self):
+        # the rule lives in ControlInstance, so no gadget source can break it
         source = Election.from_rows(1, ("a",), [(1, (1,))])
-        with pytest.raises(GadgetError):
-            gadget_deletion_to_candidate_partition(source, "zz", 1)
+        with pytest.raises(InvalidInstance, match="unknown candidate 'zz'"):
+            deletion(source, "zz", 1)
+
+    @pytest.mark.parametrize("instance", [
+        None,
+        deletion(Election.from_rows(1, ("a", "b"), [(1, (1, 0))]), "a", 1, goal=DESTRUCTIVE),
+        deletion(Election.from_rows(1, ("a", "b"), [(1, (1, 0))]), "a", 1, family=ADD_VOTERS),
+    ], ids=["no-section", "destructive", "add-voters"])
+    def test_needs_a_constructive_delete_candidates_instance(self, instance):
+        with pytest.raises(GadgetError, match="^this gadget needs a constructive "
+                                              "delete-candidates instance section$"):
+            gadget_deletion_to_candidate_partition(instance)
+
+    def test_builds_nrv_whatever_the_source_system(self):
+        source = Election.from_rows(2, ("w", "x", "y"), [(2, (1, 2, 0)), (1, (2, 0, 0))])
+        nrv = gadget_deletion_to_candidate_partition(deletion(source, "w", 1))
+        rv = gadget_deletion_to_candidate_partition(deletion(source, "w", 1, system=RV))
+        assert rv == nrv
+        assert {i.system for i in rv.instances} == {NRV}
 
 
 class TestHsDestructiveCandidatePartition:

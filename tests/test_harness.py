@@ -13,9 +13,12 @@ from pathlib import Path
 import pytest
 
 from rangecontrol import harness
+from rangecontrol.control import CONSTRUCTIVE, DELETE_CANDIDATES, ControlInstance
 from rangecontrol.elections import NRV, RV, Election
 from rangecontrol.gadgets import GadgetError, HittingSetInstance, ScoreIdentity, X3CInstance
 from rangecontrol.harness import (
+    DEFAULT_CHECKS,
+    GADGET_NAMES,
     AuditSpec,
     audit_gadget,
     decode_deletion_source,
@@ -232,10 +235,12 @@ class TestEncodings:
 
     def test_deletion_source_round_trip(self):
         e = gen_random_election(3, k=2)
-        w = e.candidates[0]
-        text = encode_deletion_source(e, w, 2)
-        back, w2, limit = decode_deletion_source(text)
-        assert (back, w2, limit) == (e, w, 2)
+        inst = ControlInstance(base=e, family=DELETE_CANDIDATES, goal=CONSTRUCTIVE,
+                               system=NRV, distinguished=e.candidates[0], limit=2)
+        text = encode_deletion_source(inst)
+        assert text.startswith(f"del-src k=2 cands={','.join(e.candidates)} ballots=")
+        assert text.endswith(f" w={e.candidates[0]} limit=2")
+        assert decode_deletion_source(text) == inst
 
     def test_bad_tag(self):
         with pytest.raises(ValueError):
@@ -285,7 +290,7 @@ class TestAudits:
         report = audit_gadget(spec)
         for idx in report.counterexamples:
             rec = report.records[idx]
-            again = replay_instance(spec.gadget, rec.encoding, spec.budget, spec.checks)
+            again = replay_instance(spec.gadget, rec.encoding, spec.budget)
             assert (again.oracle, again.solver, again.status) == (
                 rec.oracle, rec.solver, rec.status
             )
@@ -325,29 +330,18 @@ class TestAudits:
         assert report.budget_exceeded
         assert report.agreement is True  # no disagreement, only unfinished work
 
-    @pytest.mark.parametrize("gadget, checks", [
-        ("hs-candidates", ("equivalance",)),
-        ("rhs-voter-partition-tp", ("equivalence",)),
-        ("x3c-voter-partition-te", ("identities", "one-direction")),
-    ])
-    def test_unsupported_checks_are_rejected(self, gadget, checks):
-        with pytest.raises(ValueError, match="does not support"):
-            AuditSpec(gadget=gadget, checks=checks)
-
-    def test_supported_subset_of_checks_is_kept(self):
-        spec = AuditSpec(gadget="x3c-voter-partition-te", checks=("final-round",))
-        assert spec.checks == ("final-round",)
-        report = audit_gadget(spec)
-        assert all(not r.solver and not r.identities and r.notes for r in report.records)
+    @pytest.mark.parametrize("gadget", GADGET_NAMES)
+    def test_checks_are_the_gadgets_own(self, gadget):
+        spec = AuditSpec(gadget=gadget)
+        assert spec.checks == DEFAULT_CHECKS[gadget]
+        assert dataclasses.replace(spec, budget=1).checks == DEFAULT_CHECKS[gadget]
+        with pytest.raises(TypeError):
+            AuditSpec(gadget=gadget, checks=DEFAULT_CHECKS[gadget])
 
     @pytest.mark.parametrize("field", [{"budget": -1}, {"trials": -1}])
     def test_negative_budget_or_trials_rejected(self, field):
         with pytest.raises(ValueError, match="non-negative"):
             AuditSpec(gadget="hs-candidates", mode="random", **field)
-
-    def test_replay_rejects_unsupported_checks(self):
-        with pytest.raises(ValueError, match="does not support"):
-            replay_instance("rhs-voter-partition-tp", "hs k=1 B=b1,b2 S=b1", None, ("equivalence",))
 
     def test_each_gadget_is_built_once(self, monkeypatch):
         # the audit looks the builder up at call time, so a rebound name sees
