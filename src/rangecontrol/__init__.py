@@ -22,7 +22,6 @@ from .elections import (
     Election,
     Tally,
     from_approval,
-    normalize_ballot,
     project,
     scale_election,
     tally,
@@ -36,7 +35,6 @@ __all__ = [
     "BallotGroup",
     "Election",
     "Tally",
-    "normalize_ballot",
     "tally",
     "project",
     "scale_election",

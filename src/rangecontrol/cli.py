@@ -3,7 +3,8 @@
 Commands: ``tally``, ``control``, ``gadget``, ``oracle``, ``verify``,
 ``table``.  Results go to stdout, diagnostics to stderr.  Exit status:
 0 on success, 2 on usage or parse errors or an unbudgeted ``control`` search
-over ``MAX_UNBUDGETED_SPACE``, 3 when a control solve ran out of node budget.
+(or an ``oracle`` exact-cover search) over ``MAX_UNBUDGETED_SPACE``, 3 when a
+control solve ran out of node budget.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ from .elections import SYSTEMS, tally
 __all__ = ["run_cli", "main", "RESISTANCE_TABLE", "MAX_UNBUDGETED_SPACE"]
 
 # The largest search space ``control`` starts without ``--budget``: about
-# ten minutes at the ~6 us per action of the voter-partition scan.
+# ten minutes at the ~6 us per action of the voter-partition scan.  ``oracle``
+# refuses an exact-cover file with more set combinations than this.
 MAX_UNBUDGETED_SPACE = 10**8
 
 # Reported control classifications for comparison systems (V vulnerable,
@@ -190,12 +192,15 @@ def _refuse_huge_search(instance: ctl.ControlInstance) -> None:
     space = ctl.search_space(instance) if exact else floor
     if space <= MAX_UNBUDGETED_SPACE:
         return
-    if space.bit_length() > 256:  # too long to print, and str() stops at 4,300 digits
-        size = f"at least 2^{space.bit_length() - 1}"
-    else:
-        size = str(space) if exact else f"at least {space}"
-    raise ValueError(f"search space of {size} actions exceeds {MAX_UNBUDGETED_SPACE} "
-                     "without a budget; pass --budget N to search it anyway")
+    raise ValueError(f"search space of {_size(space, exact)} actions exceeds "
+                     f"{MAX_UNBUDGETED_SPACE} without a budget; pass --budget N to search it anyway")
+
+
+def _size(space: int, exact: bool = True) -> str:
+    """``space`` for an error message, as a power of two when too long to print."""
+    if space.bit_length() > 256:  # str() stops at 4,300 digits
+        return f"at least 2^{space.bit_length() - 1}"
+    return str(space) if exact else f"at least {space}"
 
 
 def _cmd_control(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
@@ -260,6 +265,10 @@ def _cmd_oracle(args: argparse.Namespace, out: TextIO, err: TextIO) -> int:
     with _warnings_to(err):
         problem = fileio.parse_problem(text)
         exact_cover = isinstance(problem, X3CInstance)
+        space = math.comb(len(problem.sets), problem.k) if exact_cover else 0
+        if space > MAX_UNBUDGETED_SPACE:
+            raise ValueError(f"search space of {_size(space)} set combinations exceeds "
+                             f"{MAX_UNBUDGETED_SPACE}")
         result = solve_x3c(problem) if exact_cover else solve_hitting_set(problem)
     print("YES" if result.decision else "NO", file=out)
     if result.decision:

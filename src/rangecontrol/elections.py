@@ -17,12 +17,12 @@ totals in the thousands.  :func:`integer_rows` puts every counted
 ballot on one integer scale ``L`` (1 under ``rv``; under ``nrv`` the lcm
 of the ballots' score spans), so totals are integer sums and winners
 follow from integer comparison.  :func:`tally` returns each total as the
-exact ``Fraction(v, L)``; :func:`normalize_ballot` remains the reference
-definition of a normalized ballot.  The ``nrv`` scale rule (``L``, and
-the factor ``k * (L // span)`` applied to ``s - lo``) is stated once, in
+exact ``Fraction(v, L)``.  The ``nrv`` scale rule (``L``, and the factor
+``k * (L // span)`` applied to ``s - lo``) is stated once, in
 :func:`integer_rows`; ``control._subset_winners`` decides candidate-set
 subelections with the same weights less the factor ``k`` and the offset
-``-lo``, which shift or scale every total alike.
+``-lo``, which shift or scale every total alike.  The Fraction reference
+for a normalized ballot is ``tests/helpers.normalized_row``.
 
 Values are immutable after construction and safe to share across threads;
 every operation here is a pure function.
@@ -45,7 +45,6 @@ __all__ = [
     "BallotGroup",
     "Election",
     "Tally",
-    "normalize_ballot",
     "integer_rows",
     "weighted_sums",
     "tally",
@@ -184,28 +183,6 @@ class Tally:
     unique_winner: str | None = None
 
 
-def normalize_ballot(
-    scores: Sequence[int | Fraction], k: int
-) -> tuple[Fraction, ...] | None:
-    """Rescale one ballot so its entries span exactly ``[0, k]``.
-
-    Each score ``s`` maps to ``k*(s - lo)/(hi - lo)`` where ``hi``/``lo``
-    are the ballot's maximum and minimum.  Returns ``None`` when all
-    scores are equal: such a ballot shows no preference and is not
-    counted.
-    """
-    if not scores:
-        raise ValueError("cannot normalize an empty ballot")
-    hi = max(scores)
-    lo = min(scores)
-    if lo < 0 or hi > k:
-        raise ValueError(f"scores must lie in [0, {k}]: {scores!r}")
-    if hi == lo:
-        return None
-    span = hi - lo
-    return tuple(Fraction(k) * (Fraction(s) - lo) / span for s in scores)
-
-
 def integer_rows(
     vectors: Sequence[Sequence[int]], k: int, system: str
 ) -> tuple[list[Sequence[int]], int]:
@@ -214,8 +191,8 @@ def integer_rows(
     Each row is ``L`` times the ballot as counted.  Under ``rv``, ``L`` is 1
     and the rows are the raw scores.  Under ``nrv``, ``L`` is the lcm of
     the ballots' score spans and score ``s`` becomes
-    ``k*(s - lo)*(L/span)``, ``L`` times its :func:`normalize_ballot`
-    entry; a ballot with a zero span is not counted and becomes a zero row.
+    ``k*(s - lo)*(L/span)``, ``L`` times its normalized entry ``k*(s - lo)/span``;
+    a ballot with a zero span is not counted and becomes a zero row.
     A ``ValueError`` refuses an ``L`` whose rows would pass ``MAX_ROW_BITS``.
     """
     if system not in SYSTEMS:

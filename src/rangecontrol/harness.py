@@ -721,13 +721,11 @@ def _record(
                 budget_hit = True
             elif outcome.decision != decision:
                 disagree = True
-    identities: list[IdentityResult] = []
-    if "identities" in checks:
-        tallies: _Tallies = {}  # one tally per distinct subelection of this record
-        identities.extend(check_score_identities(gadget, tallies))
-        if decision:
-            for ident in _witness_identities(name, source, gadget, witness):
-                identities.append(evaluate_identity(gadget.election, NRV, ident, tallies))
+    tallies: _Tallies = {}  # one tally per distinct subelection of this record
+    identities = list(check_score_identities(gadget, tallies))
+    if decision:
+        for ident in _witness_identities(name, source, gadget, witness):
+            identities.append(evaluate_identity(gadget.election, NRV, ident, tallies))
     notes: list[str] = []
     if "one-direction" in checks:
         if decision:

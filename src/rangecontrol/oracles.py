@@ -35,17 +35,18 @@ def solve_hitting_set(hs: HittingSetInstance) -> OracleResult:
     """Decide whether a hitting set of size <= k exists.
 
     Iterative-deepening branch and bound over elements in universe
-    order: at each size bound the search includes elements with
+    order, from the least size a greedy count of pairwise disjoint sets
+    allows: at each size bound the search includes elements with
     ascending indices, pruning branches where some unhit set has no
-    remaining candidate elements or where a greedy count of pairwise
-    disjoint unhit sets exceeds the remaining budget.  The first set
-    found is the lexicographically first minimum-size hitting set.
+    remaining candidate elements or where that count for the unhit sets
+    exceeds the remaining budget.  The first set found is the
+    lexicographically first minimum-size hitting set.
     """
     order = {e: i for i, e in enumerate(hs.universe)}
     masks = [_mask(s, order) for s in hs.sets]
     n = hs.n
     best: tuple[int, ...] | None = None
-    for size in range(n + 1):
+    for size in range(_disjoint_count(masks), n + 1):
         best = _hitting_set_dfs(n, masks, size)
         if best is not None:
             break

@@ -30,6 +30,15 @@ from rangecontrol.harness import exhaustive_hs_instances, exhaustive_x3c_instanc
 from rangecontrol.oracles import OracleResult
 
 
+def normalized_row(scores, k: int) -> tuple[Fraction, ...] | None:
+    """The NRV ballot: each score ``s`` becomes ``k*(s - lo)/(hi - lo)``, so the
+    lowest is 0 and the highest ``k``; None when every score is equal (no span)."""
+    hi, lo = max(scores), min(scores)
+    if hi == lo:
+        return None
+    return tuple(Fraction(k * (s - lo), hi - lo) for s in scores)
+
+
 def brute_tally(election: Election, system: str) -> dict[str, Fraction]:
     """Direct summation of each ballot group's normalized row, times its multiplicity."""
     totals = {c: Fraction(0) for c in election.candidates}
@@ -38,10 +47,9 @@ def brute_tally(election: Election, system: str) -> dict[str, Fraction]:
         if not scores:
             continue
         if system == "nrv":
-            hi, lo = max(scores), min(scores)
-            if hi == lo:
+            row = normalized_row(scores, election.k)
+            if row is None:
                 continue
-            row = [Fraction(election.k * (s - lo), hi - lo) for s in scores]
         else:
             row = [Fraction(s) for s in scores]
         for c, v in zip(election.candidates, row):

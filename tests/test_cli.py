@@ -389,6 +389,29 @@ class TestOracle:
         assert (code, err) == (0, "")
         assert out.splitlines() == ["YES", f"witness: {' '.join(names)}", "optimum: 1100"]
 
+    @pytest.mark.parametrize("size, steps, space", [
+        (30, (2, 3), "75394027566"),  # 60 triples, k = 10: C(60, 10)
+        (300, (2,), "at least 2^271"),  # 300 triples, k = 100: C(300, 100) is 82 digits
+    ])
+    def test_an_exact_cover_search_above_the_space_limit_is_refused(
+        self, tmp_path, monkeypatch, size, steps, space
+    ):
+        from rangecontrol import oracles
+
+        def never(*args, **kwargs):
+            raise AssertionError("the search was started")
+
+        monkeypatch.setattr(oracles, "solve_x3c", never)
+        names = [f"b{i + 1}" for i in range(size)]
+        triples = [(names[i], names[(i + 1) % size], names[(i + step) % size])
+                   for step in steps for i in range(size)]
+        path = tmp_path / "x3c.txt"
+        path.write_text(f"elements: {' '.join(names)}\n"
+                        + "".join(f"set: {' '.join(t)}\n" for t in triples))
+        code, out, err = cli("oracle", str(path))
+        assert (code, out) == (2, "")
+        assert err == f"error: search space of {space} set combinations exceeds 100000000\n"
+
 
 class TestGadget:
     def test_writes_solvable_instance_file(self, tmp_path):

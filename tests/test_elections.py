@@ -18,7 +18,6 @@ from rangecontrol.elections import (
     drop_voters,
     from_approval,
     integer_rows,
-    normalize_ballot,
     project,
     scale_election,
     take_voters,
@@ -26,7 +25,7 @@ from rangecontrol.elections import (
     weighted_sums,
 )
 
-from helpers import brute_tally, brute_winners
+from helpers import brute_tally, brute_winners, normalized_row
 
 TWO_RANGE = Election.from_rows(
     2, ("a", "b", "c"), [(5, (2, 0, 1)), (6, (0, 2, 0)), (4, (1, 2, 0))]
@@ -74,39 +73,49 @@ class TestTally:
             tally(TWO_RANGE, "borda")
 
 
-class TestNormalizeBallot:
+def counted(scores, k):
+    """The one ballot ``scores`` as :func:`integer_rows` counts it under nrv:
+    its integer row over the scale ``L``."""
+    (row,), scale = integer_rows([scores], k, NRV)
+    return tuple(Fraction(v, scale) for v in row)
+
+
+class TestNormalizedRow:
+    """The Fraction reference row, and ``integer_rows``' rows: ``L`` times the reference."""
+
     def test_scales_up(self):
-        assert normalize_ballot((0, 1), 2) == (Fraction(0), Fraction(2))
+        assert normalized_row((0, 1), 2) == (Fraction(0), Fraction(2))
+        assert integer_rows([(0, 1)], 2, NRV) == ([(0, 2)], 1)
 
     def test_uniform_discarded(self):
-        assert normalize_ballot((1, 1, 1), 7) is None
+        assert normalized_row((1, 1, 1), 7) is None
+        assert integer_rows([(1, 1, 1)], 7, NRV) == ([(0, 0, 0)], 1)
 
     def test_already_spanning(self):
-        assert normalize_ballot((0, 1, 2), 2) == (Fraction(0), Fraction(1), Fraction(2))
+        assert normalized_row((0, 1, 2), 2) == (Fraction(0), Fraction(1), Fraction(2))
+        assert integer_rows([(0, 1, 2)], 2, NRV) == ([(0, 2, 4)], 2)
 
     def test_shifts_minimum(self):
-        assert normalize_ballot((1, 2), 2) == (Fraction(0), Fraction(2))
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_ballot((), 2)
-
-    def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            normalize_ballot((0, 3), 2)
+        assert normalized_row((1, 2), 2) == (Fraction(0), Fraction(2))
+        assert integer_rows([(1, 2)], 2, NRV) == ([(0, 2)], 1)
 
     @given(
-        st.lists(st.integers(0, 6), min_size=1, max_size=6),
+        st.lists(st.lists(st.integers(0, 6), min_size=1, max_size=6), min_size=1, max_size=4),
         st.integers(1, 6),
     )
     def test_range_property(self, raw, k):
-        scores = [s % (k + 1) for s in raw]
-        norm = normalize_ballot(scores, k)
-        if norm is None:
-            assert max(scores) == min(scores)
-            return
-        assert min(norm) == 0 and max(norm) == k
-        assert all(0 <= v <= k for v in norm)
+        ballots = [[s % (k + 1) for s in scores] for scores in raw]
+        rows, scale = integer_rows(ballots, k, NRV)
+        for scores, row in zip(ballots, rows):
+            norm = normalized_row(scores, k)
+            if norm is None:
+                assert max(scores) == min(scores)
+                assert row == (0,) * len(scores)
+                continue
+            assert min(norm) == 0 and max(norm) == k
+            assert all(0 <= v <= k for v in norm)
+            assert min(row) == 0 and max(row) == k * scale
+            assert row == tuple(scale * v for v in norm)
 
     @given(
         st.lists(st.integers(0, 5), min_size=2, max_size=6),
@@ -114,9 +123,11 @@ class TestNormalizeBallot:
     )
     def test_idempotent(self, raw, k):
         scores = [s % (k + 1) for s in raw]
-        norm = normalize_ballot(scores, k)
+        norm = normalized_row(scores, k)
         if norm is not None:
-            assert normalize_ballot(norm, k) == norm
+            assert normalized_row(norm, k) == norm
+            (row,), _ = integer_rows([scores], k, NRV)
+            assert counted(row, k) == counted(scores, k) == norm
 
     @given(
         st.lists(st.integers(0, 4), min_size=2, max_size=5),
@@ -128,7 +139,8 @@ class TestNormalizeBallot:
         if max(scores) + shift > k:
             shift = k - max(scores)
         shifted = [s + shift for s in scores]
-        assert normalize_ballot(scores, k) == normalize_ballot(shifted, k)
+        assert normalized_row(scores, k) == normalized_row(shifted, k)
+        assert integer_rows([scores], k, NRV) == integer_rows([shifted], k, NRV)
 
 
 class TestIntegerKernel:
@@ -176,7 +188,7 @@ class TestIntegerKernel:
 
     @given(st.integers(0, 10_000), st.integers(1, 7), st.sampled_from([RV, NRV]), st.data())
     @settings(max_examples=100, deadline=None)
-    def test_fraction_boundary_matches_normalize_ballot(self, seed, k, system, data):
+    def test_fraction_boundary_matches_normalized_row(self, seed, k, system, data):
         from rangecontrol.harness import gen_random_election
 
         e = gen_random_election(seed, max_candidates=5, max_groups=6, k=k)
@@ -186,7 +198,7 @@ class TestIntegerKernel:
         sums = weighted_sums(rows, [g.multiplicity for g in sub.ballots], [0] * len(sub.candidates))
         expected = [Fraction(0)] * len(sub.candidates)
         for g in sub.ballots:
-            row = g.scores if system == RV else normalize_ballot(g.scores, k)
+            row = g.scores if system == RV else normalized_row(g.scores, k)
             if row is not None:
                 expected = [t + g.multiplicity * s for t, s in zip(expected, row)]
         assert [Fraction(v, scale) for v in sums] == expected

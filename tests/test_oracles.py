@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rangecontrol import oracles
 from rangecontrol.gadgets import (
     GadgetError,
     HittingSetInstance,
@@ -67,6 +68,21 @@ class TestHittingSet:
         if solve_hitting_set(inst).decision:
             bigger = HittingSetInstance(inst.universe, inst.sets, inst.k + 1)
             assert solve_hitting_set(bigger).decision is True
+
+    def test_deepening_starts_at_the_disjoint_count(self, monkeypatch):
+        # 1,100 disjoint singletons: no bound below 1,100 can succeed, so one search suffices
+        calls = []
+        search = oracles._hitting_set_dfs
+
+        def counted(*args):
+            calls.append(args[2])
+            return search(*args)
+
+        monkeypatch.setattr(oracles, "_hitting_set_dfs", counted)
+        names = [f"b{i + 1}" for i in range(1100)]
+        out = solve_hitting_set(hs(names, [[b] for b in names], 1100))
+        assert calls == [1100]
+        assert out.decision and out.witness == tuple(names) and out.optimum == 1100
 
     def test_a_call_leaves_no_reference_cycle(self):
         inst = hs("b1 b2 b3 b4".split(), [["b2", "b3"], ["b1", "b4"], ["b3"], ["b1", "b2"]], 2)
