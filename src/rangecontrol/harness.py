@@ -13,9 +13,11 @@ while a stated total deviates; both facts are reported independently --
 the agreement flag and counterexample list track the claim, the
 identity-failure list tracks the formulas.
 
-Reports are pure functions of (spec, seed): records are assembled in
+Reports are pure functions of (spec, seed): records are computed in
+stripes, one per CPU, by this process and forked workers, assembled in
 enumeration order and serialized with a canonical text and a JSONL
-rendering, so identical inputs produce byte-identical output.
+rendering, so identical inputs produce byte-identical output whatever
+the number of CPUs.
 """
 
 from __future__ import annotations
@@ -24,11 +26,15 @@ import array
 import functools
 import itertools
 import json
+import marshal
 import operator
+import os
 import random
+import sys
+import threading
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import BinaryIO, Callable, Iterable, Iterator, Sequence
 
 from . import control as ctl
 from . import fileio
@@ -703,10 +709,9 @@ def _final_round_note(x3c: X3CInstance, gadget: GadgetOutput) -> str:
     )
 
 
-def _record(
-    index: int, encoding: str, source, gadget: GadgetOutput, spec: AuditSpec
-) -> InstanceRecord:
-    """Audit one built gadget against the answer to its source question."""
+def _record_fields(encoding: str, source, gadget: GadgetOutput, spec: AuditSpec) -> tuple:
+    """Audit one built gadget against the answer to its source question: the
+    ``InstanceRecord`` fields after ``index``."""
     name, checks = spec.gadget, spec.checks
     decision, witness, explored = _reference(name, source, spec.budget)
     budget_hit = decision is None
@@ -754,8 +759,8 @@ def _record(
         status = "disagree"
     else:
         status = "agree"
-    return InstanceRecord(
-        index, encoding, _answer(decision), witness_text, tuple(solver), tuple(identities),
+    return (
+        encoding, _answer(decision), witness_text, tuple(solver), tuple(identities),
         tuple(notes), status, explored,
     )
 
@@ -764,28 +769,36 @@ def replay_instance(gadget_name: str, encoding: str, budget: int | None = None) 
     """Re-run one audited instance from its report encoding."""
     spec = AuditSpec(gadget=gadget_name, budget=budget)
     source = _decode(gadget_name, encoding)
-    return _record(0, encoding, source, build_gadget(gadget_name, source), spec)
+    gadget = build_gadget(gadget_name, source)
+    return InstanceRecord(0, *_record_fields(encoding, source, gadget, spec))
 
 
 # ---------------------------------------------------------------------------
-# audit driver
+# audit driver: records computed in stripes of source positions, merged by position
 
-def _sources(spec: AuditSpec) -> Iterator[tuple[str, object, GadgetOutput]]:
-    """(encoding, source, gadget) per record in report order; each gadget is built once."""
+def _positions(spec: AuditSpec, stripe: range) -> Iterator[tuple[object, GadgetOutput | None]]:
+    """(source, gadget) at each source position in ``stripe`` that the audit
+    has, ascending; the gadget is None where the source fails a precondition.
+
+    A random audit's positions are its trials.  An exhaustive audit's are
+    places in the swept stream before gadget filtering: every stripe walks
+    the stream and builds gadgets at its own positions only, so each gadget
+    is built once.
+    """
     name = spec.gadget
     if spec.mode == "random":
-        sources = (_draw(spec, trial) for trial in range(spec.trials))
-    elif name == _DELETION:
+        trials = range(spec.trials)[stripe.start:stripe.stop:stripe.step]
+        return (_draw(spec, trial) for trial in trials)
+    if name == _DELETION:
         raise ValueError("the deletion gadget audit samples random source elections")
+    if name == _X3C:
+        swept = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
     else:
-        if name == _X3C:
-            swept = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
-        else:
-            swept = exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free)
-        sources = ((source, _build_or_none(name, source)) for source in swept)
-    for source, gadget in sources:
-        if gadget is not None:
-            yield _encode(name, source), source, gadget
+        swept = exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free)
+    return (
+        (source, _build_or_none(name, source))
+        for source in itertools.islice(swept, stripe.start, stripe.stop, stripe.step)
+    )
 
 
 def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
@@ -829,11 +842,135 @@ def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
     raise ValueError(f"could not sample a valid instance for {name}")
 
 
+def _run_stripe(spec: AuditSpec, stripe: range) -> tuple[list, tuple[int, Exception] | None]:
+    """One stripe's (position, record fields) rows in position order, and
+    (position, exception) if it raised there, leaving the later positions undone."""
+    rows = []
+    done = 0
+    try:
+        for source, gadget in _positions(spec, stripe):
+            if gadget is not None:
+                encoding = _encode(spec.gadget, source)
+                rows.append((stripe[done], _record_fields(encoding, source, gadget, spec)))
+            done += 1
+    except Exception as exc:
+        return rows, (stripe[done], exc)
+    return rows, None
+
+
+# where ``identities`` sits among a record's fields after ``index``
+_IDENTITIES = [f.name for f in fields(InstanceRecord)].index("identities") - 1
+_IDENTITY_FIELDS = operator.attrgetter(*(f.name for f in fields(IdentityResult)))
+
+
+def _plain(values: tuple) -> tuple:
+    """Record fields as ``marshal`` carries them: each identity a plain tuple."""
+    identities = tuple(map(_IDENTITY_FIELDS, values[_IDENTITIES]))
+    return values[:_IDENTITIES] + (identities,) + values[_IDENTITIES + 1:]
+
+
+def _unplain(values: tuple) -> tuple:
+    identities = tuple(itertools.starmap(IdentityResult, values[_IDENTITIES]))
+    return values[:_IDENTITIES] + (identities,) + values[_IDENTITIES + 1:]
+
+
+def _worker_count(spec: AuditSpec) -> int:
+    """How many processes share an audit: one per CPU this process may run
+    on, at most one per random trial.  One where ``os.fork`` is missing or
+    other threads are alive, since a forked child holds only the calling
+    thread and whatever locks the others held."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    if spec.mode == "random":
+        cpus = min(cpus, spec.trials)
+    return max(cpus, 1)
+
+
+def _fork_stripe(spec: AuditSpec, stripe: range) -> tuple[int, BinaryIO]:
+    """Fork a worker that runs one stripe; its pid and the read end of its pipe.
+
+    The worker sends its rows (see ``_plain``) and the position it raised at,
+    or None, with ``marshal``, then ends with ``os._exit``, status 1 if it
+    could not send: it never returns into the caller, flushes the caller's
+    stdio buffers or runs its atexit handlers.
+    """
+    read, write = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read)
+        os.close(write)
+        raise
+    if pid:
+        os.close(write)
+        return pid, open(read, "rb")
+    status = 1
+    try:
+        rows, failure = _run_stripe(spec, stripe)
+        with open(write, "wb") as pipe:
+            marshal.dump((
+                [(position, _plain(values)) for position, values in rows],
+                None if failure is None else failure[0],
+            ), pipe)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 def audit_gadget(spec: AuditSpec) -> AuditReport:
-    """Run the audit described by ``spec`` and assemble a deterministic report."""
+    """Run the audit described by ``spec`` and assemble a deterministic report.
+
+    Source position p (see ``_positions``) falls in stripe p % W, with W from
+    ``_worker_count``.  This process runs stripe 0 and W - 1 forked workers
+    run the others.  The rows are merged by position and the records numbered
+    in that order, so the report bytes do not depend on W, and W = 1 forks
+    nothing.  If stripes raise, the failure at the lowest position is raised
+    here, as a one-process audit would raise it; every worker is reaped on
+    every path, and killed first if this process raises.
+    """
+    width = _worker_count(spec)
+    stripes = [range(first, sys.maxsize, width) for first in range(width)]
+    workers: list[tuple[int, BinaryIO]] = []  # forked and not yet reaped
+    try:
+        for stripe in stripes[1:]:
+            workers.append(_fork_stripe(spec, stripe))
+        rows, failure = _run_stripe(spec, stripes[0])
+        failures = [] if failure is None else [failure]
+        while workers:
+            pid, pipe = workers[0]
+            with pipe:
+                data = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del workers[0]
+            if status:
+                raise RuntimeError(f"an audit worker ended with wait status {status}")
+            more, failed = marshal.loads(data)
+            rows.extend((position, _unplain(values)) for position, values in more)
+            if failed is not None:
+                failures.append((failed, None))
+    finally:
+        for pid, pipe in workers:  # left only if this process raises
+            import signal  # loaded here, not at start-up: only this path needs it
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    if failures:
+        position, exc = min(failures, key=operator.itemgetter(0))
+        if exc is None:  # a worker's stripe raised first: raise it again here
+            again = _run_stripe(spec, range(position, position + 1))[1]
+            if again is None:
+                raise RuntimeError(f"an audit worker raised at source position {position}, "
+                                   "which does not raise when run again")
+            exc = again[1]
+        raise exc
+    rows.sort(key=operator.itemgetter(0))
     return AuditReport(spec, tuple(
-        _record(index, encoding, source, gadget, spec)
-        for index, (encoding, source, gadget) in enumerate(_sources(spec))
+        InstanceRecord(index, *values) for index, (_, values) in enumerate(rows)
     ))
 
 

@@ -5,7 +5,10 @@ import dataclasses
 import hashlib
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
 from pathlib import Path
@@ -345,9 +348,11 @@ class TestAudits:
 
     def test_each_gadget_is_built_once(self, monkeypatch):
         # the audit looks the builder up at call time, so a rebound name sees
-        # every build; an accepted source is built once, not again to audit it
+        # every build; an accepted source is built once, not again to audit it.
+        # One worker: a forked worker's builds are not seen by this process.
         import rangecontrol.harness as harness
 
+        monkeypatch.setattr(harness, "_worker_count", lambda spec: 1)
         built = []
         build = harness.gadget_hs_candidates
         monkeypatch.setattr(harness, "gadget_hs_candidates",
@@ -369,6 +374,107 @@ class TestAudits:
         for rec in report.records:
             assert rec.status in ("agree", "disagree")
             assert rec.encoding.startswith("del-src ")
+
+
+# every gadget's spec shape, each split over 1, 2 and 3 workers
+STRIPED_SPECS = {
+    "hs-exhaustive": AuditSpec(gadget="hs-candidates", n=(1, 3), m=(2, 3), k=(1, 2)),
+    "x3c-random-with-no": AuditSpec(gadget="x3c-voter-partition-te", mode="random",
+                                    k=(2, 2), sets=(2, 3), trials=4, seed=0),
+    "x3c-exhaustive-k2": AuditSpec(gadget="x3c-voter-partition-te", k=(1, 2), sets=(1, 3)),
+    "deletion-random": AuditSpec(gadget="deletion-to-candidate-partition", mode="random",
+                                 trials=6, seed=5),
+    "rhs-one-direction": AuditSpec(gadget="rhs-voter-partition-tp", mode="random", n=(6, 8),
+                                   m=(1, 2), trials=3, seed=6),
+    "budget-1": AuditSpec(gadget="deletion-to-candidate-partition", mode="random", trials=6,
+                          seed=5, budget=1),
+    "no-trials": AuditSpec(gadget="hs-candidates", mode="random", trials=0),
+}
+
+
+def no_child_is_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+class TestStripedAudits:
+    @pytest.mark.parametrize("spec", STRIPED_SPECS.values(), ids=list(STRIPED_SPECS))
+    def test_the_bytes_do_not_depend_on_the_worker_count(self, spec, monkeypatch):
+        reports = []
+        for width in (1, 2, 3):
+            monkeypatch.setattr(harness, "_worker_count", lambda spec: width)
+            report = audit_gadget(spec)
+            reports.append((render_text(report), render_jsonl(report)))
+        assert reports[1:] == reports[:1] * 2
+        assert no_child_is_left()
+
+    def test_the_spec_shapes_reach_each_branch(self):
+        statuses = {r.status for spec in STRIPED_SPECS.values()
+                    for r in audit_gadget(spec).records}
+        oracles = {r.oracle for r in audit_gadget(STRIPED_SPECS["x3c-random-with-no"]).records}
+        assert {"agree", "disagree", "budget-exceeded"} <= statuses and "no" in oracles
+        assert not audit_gadget(STRIPED_SPECS["no-trials"]).records
+
+    def test_one_worker_per_cpu_at_most_one_per_trial(self):
+        cpus = len(os.sched_getaffinity(0))
+        assert harness._worker_count(STRIPED_SPECS["hs-exhaustive"]) == cpus
+        assert harness._worker_count(STRIPED_SPECS["x3c-random-with-no"]) == min(cpus, 4)
+        assert harness._worker_count(STRIPED_SPECS["no-trials"]) == 1
+
+    @pytest.mark.parametrize("first", range(6, 12))
+    @pytest.mark.parametrize("width", (1, 2, 3))
+    def test_the_lowest_failing_position_is_raised(self, first, width, monkeypatch):
+        # every source from position `first` on raises, in this process's stripe
+        # and in the workers': the audit raises the one-worker audit's exception
+        spec = STRIPED_SPECS["hs-exhaustive"]
+        swept = list(exhaustive_hs_instances(spec.n, spec.m, spec.k))
+        failing = {encode_hs(hs) for hs in swept[first:]}
+        build = harness.gadget_hs_candidates
+
+        def builder(hs):
+            if encode_hs(hs) in failing:
+                raise RuntimeError(f"cannot build {encode_hs(hs)}")
+            return build(hs)
+
+        monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
+        monkeypatch.setattr(harness, "_worker_count", lambda spec: width)
+        with pytest.raises(RuntimeError) as raised:
+            audit_gadget(spec)
+        assert str(raised.value) == f"cannot build {encode_hs(swept[first])}"
+        assert no_child_is_left()
+
+    def test_a_worker_that_dies_is_an_error_not_a_shorter_report(self, monkeypatch):
+        parent = os.getpid()
+        build = harness.gadget_hs_candidates
+
+        def builder(hs):
+            if os.getpid() != parent:
+                os._exit(3)
+            return build(hs)
+
+        monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
+        monkeypatch.setattr(harness, "_worker_count", lambda spec: 3)
+        with pytest.raises(RuntimeError, match="audit worker ended with wait status"):
+            audit_gadget(STRIPED_SPECS["hs-exhaustive"])
+        assert no_child_is_left()
+
+    def test_output_buffered_before_the_audit_is_written_once(self):
+        script = (
+            "import sys\n"
+            "from rangecontrol import harness\n"
+            "harness._worker_count = lambda spec: 3\n"
+            "sys.stdout.write('before ')\n"
+            "spec = harness.AuditSpec(gadget='hs-candidates', n=(1, 3), m=(2, 3), k=(1, 2))\n"
+            "print(len(harness.audit_gadget(spec).records))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        records = len(audit_gadget(STRIPED_SPECS["hs-exhaustive"]).records)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"before {records}\n", "")
 
 
 # a small source family per gadget, in the audit's own order
@@ -394,7 +500,8 @@ class TestIdentityTallies:
         calls = []
         tally = harness.tally
         monkeypatch.setattr(harness, "tally", lambda e, system: calls.append(e) or tally(e, system))
-        record = harness._record(0, encode_hs(hs), hs, gadget, IDENTITY_SPECS["hs-candidates"])
+        record = harness.InstanceRecord(0, *harness._record_fields(
+            encode_hs(hs), hs, gadget, IDENTITY_SPECS["hs-candidates"]))
         assert len(record.identities) == len(gadget.identities)
         assert len(calls) == len(subelections)
 
@@ -414,14 +521,17 @@ class TestIdentityTallies:
     def test_memoized_identities_match_one_at_a_time(self, name):
         spec = IDENTITY_SPECS[name]
         witnessed = 0
-        for index, (encoding, source, gadget) in enumerate(itertools.islice(harness._sources(spec), 12)):
+        positions = harness._positions(spec, range(sys.maxsize))
+        built = ((source, gadget) for source, gadget in positions if gadget is not None)
+        for source, gadget in itertools.islice(built, 12):
             decision, witness, _ = harness._reference(name, source, spec.budget)
             identities = gadget.identities
             if decision:
                 identities += harness._witness_identities(name, source, gadget, witness)
                 witnessed += len(identities) > len(gadget.identities)
             alone = tuple(harness.evaluate_identity(gadget.election, NRV, i) for i in identities)
-            assert harness._record(index, encoding, source, gadget, spec).identities == alone
+            values = harness._record_fields(harness._encode(name, source), source, gadget, spec)
+            assert harness.InstanceRecord(0, *values).identities == alone
         if name in ("hs-delete-constructive", "x3c-voter-partition-te",
                     "hs-destructive-candidate-partition"):
             assert witnessed  # the shared dict also served witness identities
