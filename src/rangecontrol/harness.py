@@ -14,7 +14,7 @@ the agreement flag and counterexample list track the claim, the
 identity-failure list tracks the formulas.
 
 Reports are pure functions of (spec, seed): records are computed in
-stripes, one per CPU, by this process and forked workers, assembled in
+stripes, up to one per CPU, by this process and forked workers, assembled in
 enumeration order and serialized with a canonical text and a JSONL
 rendering, so identical inputs produce byte-identical output whatever
 the number of CPUs.
@@ -776,29 +776,27 @@ def replay_instance(gadget_name: str, encoding: str, budget: int | None = None) 
 # ---------------------------------------------------------------------------
 # audit driver: records computed in stripes of source positions, merged by position
 
-def _positions(spec: AuditSpec, stripe: range) -> Iterator[tuple[object, GadgetOutput | None]]:
-    """(source, gadget) at each source position in ``stripe`` that the audit
-    has, ascending; the gadget is None where the source fails a precondition.
-
-    A random audit's positions are its trials.  An exhaustive audit's are
-    places in the swept stream before gadget filtering: every stripe walks
-    the stream and builds gadgets at its own positions only, so each gadget
-    is built once.
-    """
+def _stream(spec: AuditSpec) -> Iterator:
+    """What sits at each source position of the audit, in order: a random
+    audit's trial numbers, or an exhaustive audit's swept sources before
+    gadget filtering."""
     name = spec.gadget
     if spec.mode == "random":
-        trials = range(spec.trials)[stripe.start:stripe.stop:stripe.step]
-        return (_draw(spec, trial) for trial in trials)
+        return iter(range(spec.trials))
     if name == _DELETION:
         raise ValueError("the deletion gadget audit samples random source elections")
     if name == _X3C:
-        swept = exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
-    else:
-        swept = exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free)
-    return (
-        (source, _build_or_none(name, source))
-        for source in itertools.islice(swept, stripe.start, stripe.stop, stripe.step)
-    )
+        return exhaustive_x3c_instances(spec.k, spec.sets, spec.isomorphism_free)
+    return exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free)
+
+
+def _positions(spec: AuditSpec, items: Iterable) -> Iterator[tuple[object, GadgetOutput | None]]:
+    """(source, gadget) for each of ``items``, taken from ``_stream(spec)``;
+    the gadget is None where the source fails a precondition.  Only these
+    positions' gadgets are built, so a stripe builds each of its own once."""
+    if spec.mode == "random":
+        return (_draw(spec, trial) for trial in items)
+    return ((source, _build_or_none(spec.gadget, source)) for source in items)
 
 
 def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
@@ -842,13 +840,17 @@ def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
     raise ValueError(f"could not sample a valid instance for {name}")
 
 
-def _run_stripe(spec: AuditSpec, stripe: range) -> tuple[list, tuple[int, Exception] | None]:
-    """One stripe's (position, record fields) rows in position order, and
-    (position, exception) if it raised there, leaving the later positions undone."""
+def _run_stripe(
+    spec: AuditSpec, stream: Iterator, stripe: range
+) -> tuple[list, tuple[int, Exception] | None]:
+    """One stripe of ``stream``'s positions: its (position, record fields) rows
+    in position order, and (position, exception) if it raised there, leaving
+    the later positions undone."""
     rows = []
     done = 0
+    items = itertools.islice(stream, stripe.start, stripe.stop, stripe.step)
     try:
-        for source, gadget in _positions(spec, stripe):
+        for source, gadget in _positions(spec, items):
             if gadget is not None:
                 encoding = _encode(spec.gadget, source)
                 rows.append((stripe[done], _record_fields(encoding, source, gadget, spec)))
@@ -874,23 +876,36 @@ def _unplain(values: tuple) -> tuple:
     return values[:_IDENTITIES] + (identities,) + values[_IDENTITIES + 1:]
 
 
-def _worker_count(spec: AuditSpec) -> int:
-    """How many processes share an audit: one per CPU this process may run
-    on, at most one per random trial.  One where ``os.fork`` is missing or
-    other threads are alive, since a forked child holds only the calling
-    thread and whatever locks the others held."""
+# The fewest source positions a process of a split audit gets.  A worker
+# costs a fork, copy-on-write faults on the caller's heap, caches that start
+# cold and its own walk of an exhaustive sweep: 15-30 ms more CPU on the
+# perfbench audits, while the cheapest positions (hs-delete-constructive at
+# n = 6) take about 0.25 ms each.  On fewer positions a split gains a few
+# milliseconds at most, and its wall time swings with the load on the other
+# CPUs.
+_LEAST_SHARE = 64
+
+
+def _cpus() -> int:
+    """The CPUs an audit may spread over: those this process may run on.
+    One where ``os.fork`` is missing or other threads are alive, since a
+    forked child holds only the calling thread and whatever locks the
+    others held."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     try:
-        cpus = len(os.sched_getaffinity(0))
+        return len(os.sched_getaffinity(0)) or 1
     except AttributeError:  # no affinity call on this platform
-        cpus = os.cpu_count() or 1
-    if spec.mode == "random":
-        cpus = min(cpus, spec.trials)
-    return max(cpus, 1)
+        return os.cpu_count() or 1
 
 
-def _fork_stripe(spec: AuditSpec, stripe: range) -> tuple[int, BinaryIO]:
+def _worker_count(positions: int) -> int:
+    """How many processes share an audit of at least ``positions`` source
+    positions: one per CPU, each with ``_LEAST_SHARE`` positions or more."""
+    return max(1, min(_cpus(), positions // _LEAST_SHARE))
+
+
+def _fork_stripe(spec: AuditSpec, stream: Iterator, stripe: range) -> tuple[int, BinaryIO]:
     """Fork a worker that runs one stripe; its pid and the read end of its pipe.
 
     The worker sends its rows (see ``_plain``) and the position it raised at,
@@ -910,7 +925,7 @@ def _fork_stripe(spec: AuditSpec, stripe: range) -> tuple[int, BinaryIO]:
         return pid, open(read, "rb")
     status = 1
     try:
-        rows, failure = _run_stripe(spec, stripe)
+        rows, failure = _run_stripe(spec, stream, stripe)
         with open(write, "wb") as pipe:
             marshal.dump((
                 [(position, _plain(values)) for position, values in rows],
@@ -924,21 +939,25 @@ def _fork_stripe(spec: AuditSpec, stripe: range) -> tuple[int, BinaryIO]:
 def audit_gadget(spec: AuditSpec) -> AuditReport:
     """Run the audit described by ``spec`` and assemble a deterministic report.
 
-    Source position p (see ``_positions``) falls in stripe p % W, with W from
-    ``_worker_count``.  This process runs stripe 0 and W - 1 forked workers
-    run the others.  The rows are merged by position and the records numbered
-    in that order, so the report bytes do not depend on W, and W = 1 forks
-    nothing.  If stripes raise, the failure at the lowest position is raised
-    here, as a one-process audit would raise it; every worker is reaped on
-    every path, and killed first if this process raises.
+    Source position p (see ``_stream``) falls in stripe p % W, with W from
+    ``_worker_count`` on the positions read ahead here before any fork.
+    This process runs stripe 0 and W - 1 forked workers run the others, each
+    on its own copy of the stream.  The rows are merged by position and the
+    records numbered in that order, so the report bytes do not depend on W,
+    and W = 1 forks nothing.  If stripes raise, the failure at the lowest
+    position is raised here, as a one-process audit would raise it; every
+    worker is reaped on every path, and killed first if this process raises.
     """
-    width = _worker_count(spec)
+    stream = _stream(spec)
+    head = list(itertools.islice(stream, _LEAST_SHARE * _cpus()))
+    width = _worker_count(len(head))
+    stream = itertools.chain(head, stream)
     stripes = [range(first, sys.maxsize, width) for first in range(width)]
     workers: list[tuple[int, BinaryIO]] = []  # forked and not yet reaped
     try:
         for stripe in stripes[1:]:
-            workers.append(_fork_stripe(spec, stripe))
-        rows, failure = _run_stripe(spec, stripes[0])
+            workers.append(_fork_stripe(spec, stream, stripe))
+        rows, failure = _run_stripe(spec, stream, stripes[0])
         failures = [] if failure is None else [failure]
         while workers:
             pid, pipe = workers[0]
@@ -962,7 +981,7 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
     if failures:
         position, exc = min(failures, key=operator.itemgetter(0))
         if exc is None:  # a worker's stripe raised first: raise it again here
-            again = _run_stripe(spec, range(position, position + 1))[1]
+            again = _run_stripe(spec, _stream(spec), range(position, position + 1))[1]
             if again is None:
                 raise RuntimeError(f"an audit worker raised at source position {position}, "
                                    "which does not raise when run again")

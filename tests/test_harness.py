@@ -352,7 +352,7 @@ class TestAudits:
         # One worker: a forked worker's builds are not seen by this process.
         import rangecontrol.harness as harness
 
-        monkeypatch.setattr(harness, "_worker_count", lambda spec: 1)
+        monkeypatch.setattr(harness, "_worker_count", lambda positions: 1)
         built = []
         build = harness.gadget_hs_candidates
         monkeypatch.setattr(harness, "gadget_hs_candidates",
@@ -403,7 +403,7 @@ class TestStripedAudits:
     def test_the_bytes_do_not_depend_on_the_worker_count(self, spec, monkeypatch):
         reports = []
         for width in (1, 2, 3):
-            monkeypatch.setattr(harness, "_worker_count", lambda spec: width)
+            monkeypatch.setattr(harness, "_worker_count", lambda positions: width)
             report = audit_gadget(spec)
             reports.append((render_text(report), render_jsonl(report)))
         assert reports[1:] == reports[:1] * 2
@@ -416,11 +416,36 @@ class TestStripedAudits:
         assert {"agree", "disagree", "budget-exceeded"} <= statuses and "no" in oracles
         assert not audit_gadget(STRIPED_SPECS["no-trials"]).records
 
-    def test_one_worker_per_cpu_at_most_one_per_trial(self):
-        cpus = len(os.sched_getaffinity(0))
-        assert harness._worker_count(STRIPED_SPECS["hs-exhaustive"]) == cpus
-        assert harness._worker_count(STRIPED_SPECS["x3c-random-with-no"]) == min(cpus, 4)
-        assert harness._worker_count(STRIPED_SPECS["no-trials"]) == 1
+    def test_one_worker_per_cpu_with_the_least_share_each(self, monkeypatch):
+        monkeypatch.setattr(harness, "_cpus", lambda: 3)
+        share = harness._LEAST_SHARE
+        positions = (0, share - 1, share, 2 * share - 1, 2 * share, 3 * share, 10 * share)
+        assert [harness._worker_count(p) for p in positions] == [1, 1, 1, 1, 2, 3, 3]
+
+    @pytest.mark.parametrize("mode", ("random", "exhaustive"))
+    def test_an_audit_forks_once_each_process_has_its_least_share(self, mode, monkeypatch):
+        # the shape of the audit decides the split: positions are counted
+        # before any fork, trials in random mode and the swept stream otherwise
+        fork = os.fork
+        forks = []
+        monkeypatch.setattr(harness, "_cpus", lambda: 2)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        share = harness._LEAST_SHARE
+        if mode == "random":
+            small, large = (AuditSpec(gadget="hs-candidates", mode="random", trials=trials)
+                            for trials in (2 * share - 1, 2 * share))
+        else:
+            small, large = (AuditSpec(gadget="hs-delete-constructive", n=(6, 6), m=(2, 2),
+                                      k=(1, k)) for k in (2, 3))
+            assert len(list(harness._stream(small))) < 2 * share
+            assert len(list(harness._stream(large))) >= 2 * share
+        one_process = audit_gadget(small)
+        assert not forks
+        split = audit_gadget(large)
+        assert len(forks) == 1 and no_child_is_left()
+        monkeypatch.setattr(harness, "_worker_count", lambda positions: 1)
+        for report in (one_process, split):
+            assert render_jsonl(report) == render_jsonl(audit_gadget(report.spec))
 
     @pytest.mark.parametrize("first", range(6, 12))
     @pytest.mark.parametrize("width", (1, 2, 3))
@@ -438,7 +463,7 @@ class TestStripedAudits:
             return build(hs)
 
         monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
-        monkeypatch.setattr(harness, "_worker_count", lambda spec: width)
+        monkeypatch.setattr(harness, "_worker_count", lambda positions: width)
         with pytest.raises(RuntimeError) as raised:
             audit_gadget(spec)
         assert str(raised.value) == f"cannot build {encode_hs(swept[first])}"
@@ -454,7 +479,7 @@ class TestStripedAudits:
             return build(hs)
 
         monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
-        monkeypatch.setattr(harness, "_worker_count", lambda spec: 3)
+        monkeypatch.setattr(harness, "_worker_count", lambda positions: 3)
         with pytest.raises(RuntimeError, match="audit worker ended with wait status"):
             audit_gadget(STRIPED_SPECS["hs-exhaustive"])
         assert no_child_is_left()
@@ -463,7 +488,7 @@ class TestStripedAudits:
         script = (
             "import sys\n"
             "from rangecontrol import harness\n"
-            "harness._worker_count = lambda spec: 3\n"
+            "harness._worker_count = lambda positions: 3\n"
             "sys.stdout.write('before ')\n"
             "spec = harness.AuditSpec(gadget='hs-candidates', n=(1, 3), m=(2, 3), k=(1, 2))\n"
             "print(len(harness.audit_gadget(spec).records))\n"
@@ -521,7 +546,7 @@ class TestIdentityTallies:
     def test_memoized_identities_match_one_at_a_time(self, name):
         spec = IDENTITY_SPECS[name]
         witnessed = 0
-        positions = harness._positions(spec, range(sys.maxsize))
+        positions = harness._positions(spec, harness._stream(spec))
         built = ((source, gadget) for source, gadget in positions if gadget is not None)
         for source, gadget in itertools.islice(built, 12):
             decision, witness, _ = harness._reference(name, source, spec.budget)
