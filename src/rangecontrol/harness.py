@@ -14,9 +14,10 @@ the agreement flag and counterexample list track the claim, the
 identity-failure list tracks the formulas.
 
 Reports are pure functions of (spec, seed): records are computed in
-stripes, up to one per CPU, by this process and forked workers, assembled in
-enumeration order and serialized with a canonical text and a JSONL
-rendering, so identical inputs produce byte-identical output whatever
+stripes, up to one per CPU, by this process and forked workers that pickle
+their rows back (a stripe that raises sends its position, run again here),
+assembled in enumeration order and serialized with a canonical text and a
+JSONL rendering, so identical inputs produce byte-identical output whatever
 the number of CPUs.
 """
 
@@ -26,11 +27,9 @@ import array
 import functools
 import itertools
 import json
-import marshal
 import operator
 import os
 import random
-import sys
 import threading
 from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
@@ -790,13 +789,15 @@ def _stream(spec: AuditSpec) -> Iterator:
     return exhaustive_hs_instances(spec.n, spec.m, spec.k, spec.isomorphism_free)
 
 
-def _positions(spec: AuditSpec, items: Iterable) -> Iterator[tuple[object, GadgetOutput | None]]:
-    """(source, gadget) for each of ``items``, taken from ``_stream(spec)``;
-    the gadget is None where the source fails a precondition.  Only these
-    positions' gadgets are built, so a stripe builds each of its own once."""
+def _record_at(spec: AuditSpec, item) -> tuple | None:
+    """The ``InstanceRecord`` fields after ``index`` for one item of ``_stream(spec)``,
+    or None where its source fails a gadget precondition; only its gadget is built."""
     if spec.mode == "random":
-        return (_draw(spec, trial) for trial in items)
-    return ((source, _build_or_none(spec.gadget, source)) for source in items)
+        source, gadget = _draw(spec, item)
+    else:
+        source, gadget = item, _build_or_none(spec.gadget, item)
+    if gadget is not None:
+        return _record_fields(_encode(spec.gadget, source), source, gadget, spec)
 
 
 def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
@@ -840,40 +841,21 @@ def _draw(spec: AuditSpec, trial: int) -> tuple[object, GadgetOutput]:
     raise ValueError(f"could not sample a valid instance for {name}")
 
 
-def _run_stripe(
-    spec: AuditSpec, stream: Iterator, stripe: range
-) -> tuple[list, tuple[int, Exception] | None]:
-    """One stripe of ``stream``'s positions: its (position, record fields) rows
-    in position order, and (position, exception) if it raised there, leaving
-    the later positions undone."""
+def _run_stripe(spec: AuditSpec, numbered: Iterator, first: int, width: int) -> tuple:
+    """Stripe ``first`` of ``width`` over ``numbered``'s (position, item) pairs: its
+    (position, record fields) rows, and the position it stopped at by raising (at
+    the next position, if walking there raised), or None."""
     rows = []
-    done = 0
-    items = itertools.islice(stream, stripe.start, stripe.stop, stripe.step)
+    position = first
     try:
-        for source, gadget in _positions(spec, items):
-            if gadget is not None:
-                encoding = _encode(spec.gadget, source)
-                rows.append((stripe[done], _record_fields(encoding, source, gadget, spec)))
-            done += 1
-    except Exception as exc:
-        return rows, (stripe[done], exc)
+        for position, item in itertools.islice(numbered, first, None, width):
+            values = _record_at(spec, item)
+            if values is not None:
+                rows.append((position, values))
+            position += width
+    except Exception:
+        return rows, position
     return rows, None
-
-
-# where ``identities`` sits among a record's fields after ``index``
-_IDENTITIES = [f.name for f in fields(InstanceRecord)].index("identities") - 1
-_IDENTITY_FIELDS = operator.attrgetter(*(f.name for f in fields(IdentityResult)))
-
-
-def _plain(values: tuple) -> tuple:
-    """Record fields as ``marshal`` carries them: each identity a plain tuple."""
-    identities = tuple(map(_IDENTITY_FIELDS, values[_IDENTITIES]))
-    return values[:_IDENTITIES] + (identities,) + values[_IDENTITIES + 1:]
-
-
-def _unplain(values: tuple) -> tuple:
-    identities = tuple(itertools.starmap(IdentityResult, values[_IDENTITIES]))
-    return values[:_IDENTITIES] + (identities,) + values[_IDENTITIES + 1:]
 
 
 # The fewest source positions a process of a split audit gets.  A worker
@@ -905,13 +887,13 @@ def _worker_count(positions: int) -> int:
     return max(1, min(_cpus(), positions // _LEAST_SHARE))
 
 
-def _fork_stripe(spec: AuditSpec, stream: Iterator, stripe: range) -> tuple[int, BinaryIO]:
+def _fork_stripe(spec: AuditSpec, numbered: Iterator, first: int, width: int) -> tuple:
     """Fork a worker that runs one stripe; its pid and the read end of its pipe.
 
-    The worker sends its rows (see ``_plain``) and the position it raised at,
-    or None, with ``marshal``, then ends with ``os._exit``, status 1 if it
-    could not send: it never returns into the caller, flushes the caller's
-    stdio buffers or runs its atexit handlers.
+    The worker pickles ``_run_stripe``'s result, so a raise crosses the pipe as
+    a position, never as an exception.  It ends with ``os._exit``, status 1 if it
+    could not send: it never returns into the caller, flushes the caller's stdio
+    buffers or runs its atexit handlers.
     """
     read, write = os.pipe()
     try:
@@ -925,12 +907,10 @@ def _fork_stripe(spec: AuditSpec, stream: Iterator, stripe: range) -> tuple[int,
         return pid, open(read, "rb")
     status = 1
     try:
-        rows, failure = _run_stripe(spec, stream, stripe)
+        import pickle  # loaded here, not at start-up: only a split audit needs it
+
         with open(write, "wb") as pipe:
-            marshal.dump((
-                [(position, _plain(values)) for position, values in rows],
-                None if failure is None else failure[0],
-            ), pipe)
+            pickle.dump(_run_stripe(spec, numbered, first, width), pipe)
         status = 0
     finally:
         os._exit(status)
@@ -942,23 +922,22 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
     Source position p (see ``_stream``) falls in stripe p % W, with W from
     ``_worker_count`` on the positions read ahead here before any fork.
     This process runs stripe 0 and W - 1 forked workers run the others, each
-    on its own copy of the stream.  The rows are merged by position and the
-    records numbered in that order, so the report bytes do not depend on W,
-    and W = 1 forks nothing.  If stripes raise, the failure at the lowest
-    position is raised here, as a one-process audit would raise it; every
+    on its own copy of the stream, and pickle their rows back.  The rows are
+    merged by position and numbered in that order, so the report bytes do not
+    depend on W, and W = 1 forks nothing.  If stripes raise, the lowest position
+    one raised at is run again here, raising as a one-process audit would; every
     worker is reaped on every path, and killed first if this process raises.
     """
     stream = _stream(spec)
     head = list(itertools.islice(stream, _LEAST_SHARE * _cpus()))
     width = _worker_count(len(head))
-    stream = itertools.chain(head, stream)
-    stripes = [range(first, sys.maxsize, width) for first in range(width)]
+    numbered = enumerate(itertools.chain(head, stream))
     workers: list[tuple[int, BinaryIO]] = []  # forked and not yet reaped
     try:
-        for stripe in stripes[1:]:
-            workers.append(_fork_stripe(spec, stream, stripe))
-        rows, failure = _run_stripe(spec, stream, stripes[0])
-        failures = [] if failure is None else [failure]
+        for first in range(1, width):
+            workers.append(_fork_stripe(spec, numbered, first, width))
+        rows, failed = _run_stripe(spec, numbered, 0, width)
+        failures = [failed]
         while workers:
             pid, pipe = workers[0]
             with pipe:
@@ -967,10 +946,10 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
             del workers[0]
             if status:
                 raise RuntimeError(f"an audit worker ended with wait status {status}")
-            more, failed = marshal.loads(data)
-            rows.extend((position, _unplain(values)) for position, values in more)
-            if failed is not None:
-                failures.append((failed, None))
+            import pickle  # as in _fork_stripe, loaded only when a worker reports
+            more, failed = pickle.loads(data)
+            rows += more
+            failures.append(failed)
     finally:
         for pid, pipe in workers:  # left only if this process raises
             import signal  # loaded here, not at start-up: only this path needs it
@@ -978,15 +957,11 @@ def audit_gadget(spec: AuditSpec) -> AuditReport:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-    if failures:
-        position, exc = min(failures, key=operator.itemgetter(0))
-        if exc is None:  # a worker's stripe raised first: raise it again here
-            again = _run_stripe(spec, _stream(spec), range(position, position + 1))[1]
-            if again is None:
-                raise RuntimeError(f"an audit worker raised at source position {position}, "
-                                   "which does not raise when run again")
-            exc = again[1]
-        raise exc
+    position = min((p for p in failures if p is not None), default=None)
+    if position is not None:
+        for item in itertools.islice(_stream(spec), position, position + 1):
+            _record_at(spec, item)
+        raise RuntimeError(f"source position {position} raised in its stripe but not run again")
     rows.sort(key=operator.itemgetter(0))
     return AuditReport(spec, tuple(
         InstanceRecord(index, *values) for index, (_, values) in enumerate(rows)

@@ -392,6 +392,14 @@ STRIPED_SPECS = {
 }
 
 
+class Unpicklable(RuntimeError):
+    """An exception ``pickle`` cannot carry: it holds a lambda."""
+
+    def __init__(self, message):
+        super().__init__(message)
+        self.hook = lambda: message
+
+
 def no_child_is_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -447,11 +455,14 @@ class TestStripedAudits:
         for report in (one_process, split):
             assert render_jsonl(report) == render_jsonl(audit_gadget(report.spec))
 
+    @pytest.mark.parametrize("error", (RuntimeError, Unpicklable))
     @pytest.mark.parametrize("first", range(6, 12))
     @pytest.mark.parametrize("width", (1, 2, 3))
-    def test_the_lowest_failing_position_is_raised(self, first, width, monkeypatch):
+    def test_the_lowest_failing_position_is_raised(self, first, width, error, monkeypatch):
         # every source from position `first` on raises, in this process's stripe
-        # and in the workers': the audit raises the one-worker audit's exception
+        # and in the workers': the audit raises the one-worker audit's exception.
+        # A stripe sends back the position, never the exception, so one that
+        # pickle cannot carry is raised here all the same
         spec = STRIPED_SPECS["hs-exhaustive"]
         swept = list(exhaustive_hs_instances(spec.n, spec.m, spec.k))
         failing = {encode_hs(hs) for hs in swept[first:]}
@@ -459,7 +470,7 @@ class TestStripedAudits:
 
         def builder(hs):
             if encode_hs(hs) in failing:
-                raise RuntimeError(f"cannot build {encode_hs(hs)}")
+                raise error(f"cannot build {encode_hs(hs)}")
             return build(hs)
 
         monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
@@ -467,7 +478,35 @@ class TestStripedAudits:
         with pytest.raises(RuntimeError) as raised:
             audit_gadget(spec)
         assert str(raised.value) == f"cannot build {encode_hs(swept[first])}"
+        assert type(raised.value) is error
         assert no_child_is_left()
+
+    @pytest.mark.parametrize("broken", (2, 7))
+    @pytest.mark.parametrize("width", (1, 2, 3))
+    def test_a_sweep_that_raises_past_the_read_ahead_is_raised(self, width, broken,
+                                                              monkeypatch):
+        # the stripes walk the sweep themselves after the one position read
+        # ahead; a stripe stopped by the walk names a position the walk reaches
+        spec = STRIPED_SPECS["hs-exhaustive"]
+        swept = list(exhaustive_hs_instances(spec.n, spec.m, spec.k))
+
+        def sweep(*bounds):
+            yield from swept[:broken]
+            raise RuntimeError(f"the sweep broke at position {broken}")
+
+        monkeypatch.setattr(harness, "exhaustive_hs_instances", sweep)
+        monkeypatch.setattr(harness, "_cpus", lambda: 1)
+        monkeypatch.setattr(harness, "_LEAST_SHARE", 1)
+        monkeypatch.setattr(harness, "_worker_count", lambda positions: width)
+        with pytest.raises(RuntimeError, match=f"^the sweep broke at position {broken}$"):
+            audit_gadget(spec)
+        assert no_child_is_left()
+
+    def test_an_unpicklable_exception_cannot_be_pickled(self):
+        import pickle
+
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(Unpicklable("cannot build"))
 
     def test_a_worker_that_dies_is_an_error_not_a_shorter_report(self, monkeypatch):
         parent = os.getpid()
@@ -481,6 +520,23 @@ class TestStripedAudits:
         monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
         monkeypatch.setattr(harness, "_worker_count", lambda positions: 3)
         with pytest.raises(RuntimeError, match="audit worker ended with wait status"):
+            audit_gadget(STRIPED_SPECS["hs-exhaustive"])
+        assert no_child_is_left()
+
+    def test_a_position_that_raises_only_in_a_worker_is_an_error(self, monkeypatch):
+        # the position is run again here and does not raise: the audit must not
+        # return a report without it
+        parent = os.getpid()
+        build = harness.gadget_hs_candidates
+
+        def builder(hs):
+            if os.getpid() != parent:
+                raise ValueError("raised in a worker only")
+            return build(hs)
+
+        monkeypatch.setattr(harness, "gadget_hs_candidates", builder)
+        monkeypatch.setattr(harness, "_worker_count", lambda positions: 2)
+        with pytest.raises(RuntimeError, match="^source position 1 raised in its stripe but not"):
             audit_gadget(STRIPED_SPECS["hs-exhaustive"])
         assert no_child_is_left()
 
@@ -500,6 +556,26 @@ class TestStripedAudits:
                               capture_output=True, text=True, env=env, timeout=60)
         records = len(audit_gadget(STRIPED_SPECS["hs-exhaustive"]).records)
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, f"before {records}\n", "")
+
+    def test_a_one_process_audit_loads_nothing_for_the_split(self):
+        # audit-enum's spec: 86 source positions, fewer than two least shares
+        script = (
+            "import sys\n"
+            "from rangecontrol import harness\n"
+            "spec = harness.AuditSpec(gadget='hs-delete-constructive', n=(6, 6), m=(2, 2),\n"
+            "                         k=(1, 2))\n"
+            "assert len(list(harness._stream(spec))) < 2 * harness._LEAST_SHARE\n"
+            "records = len(harness.audit_gadget(spec).records)\n"
+            "print(records, sorted({'pickle', 'signal'} & set(sys.modules)))\n"
+        )
+        src = str(Path(harness.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", script],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        records, loaded = proc.stdout.split(" ", 1)
+        assert int(records) > 0 and loaded == "[]\n"
 
 
 # a small source family per gadget, in the audit's own order
@@ -546,16 +622,16 @@ class TestIdentityTallies:
     def test_memoized_identities_match_one_at_a_time(self, name):
         spec = IDENTITY_SPECS[name]
         witnessed = 0
-        positions = harness._positions(spec, harness._stream(spec))
-        built = ((source, gadget) for source, gadget in positions if gadget is not None)
-        for source, gadget in itertools.islice(built, 12):
+        records = (harness._record_at(spec, item) for item in harness._stream(spec))
+        for values in itertools.islice(filter(None, records), 12):
+            source = harness._decode(name, values[0])  # the record's own encoding
+            gadget = harness.build_gadget(name, source)
             decision, witness, _ = harness._reference(name, source, spec.budget)
             identities = gadget.identities
             if decision:
                 identities += harness._witness_identities(name, source, gadget, witness)
                 witnessed += len(identities) > len(gadget.identities)
             alone = tuple(harness.evaluate_identity(gadget.election, NRV, i) for i in identities)
-            values = harness._record_fields(harness._encode(name, source), source, gadget, spec)
             assert harness.InstanceRecord(0, *values).identities == alone
         if name in ("hs-delete-constructive", "x3c-voter-partition-te",
                     "hs-destructive-candidate-partition"):
